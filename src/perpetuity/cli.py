@@ -445,7 +445,7 @@ def cmd_tail(cfg: dict, args) -> int:
 
 
 def cmd_validate(cfg: dict, args) -> int:
-    case_id = args.case or cfg.get("validate.case")
+    case_id = args.target or cfg.get("validate.case")
     if not case_id:
         print("config error: no reference case id given", file=sys.stderr)
         return EXIT_CONFIG
@@ -488,7 +488,8 @@ def cmd_charfn(cfg: dict, args) -> int:
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="perpetuity", description="Perpetuity tail laboratory")
     p.add_argument("command", choices=["simulate", "moments", "tail", "validate", "charfn"])
-    p.add_argument("case", nargs="?", default=None, help="reference case id (validate)")
+    p.add_argument("target", nargs="?", default=None, metavar="CONFIG|CASE",
+                   help="config path; for validate, the reference case id")
     p.add_argument("--config", type=str, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=str, default=".")
@@ -500,10 +501,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    config_path = args.config
+    if args.command != "validate" and args.target is not None:
+        if config_path is not None:
+            print(f"config error: config given twice: {args.target!r} and --config {config_path!r}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        config_path = args.target
     cfg: dict[str, str] = {}
-    if args.config is not None:
+    if config_path is not None:
         try:
-            cfg = parse_config_text(Path(args.config).read_text())
+            cfg = parse_config_text(Path(config_path).read_text())
         except (OSError, ConfigError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG

@@ -267,6 +267,11 @@ class Beta(ScalarDistribution):
             raise ValidationError("Beta parameters must be > 0")
 
     def sample(self, rng, size):
+        if self.q == 1.0:
+            # Beta(p, 1) has CDF u^p: invert it directly
+            u = rng.random(size)
+            u **= 1.0 / self.p
+            return u
         return rng.beta(self.p, self.q, size=size)
 
     def survival(self, x):
@@ -328,7 +333,11 @@ class Uniform(ScalarDistribution):
             raise ValidationError("Uniform requires lo < hi")
 
     def sample(self, rng, size):
-        return rng.uniform(self.lo, self.hi, size=size)
+        # lo + (hi - lo) U, the same bits as rng.uniform without its per-draw dispatch
+        u = rng.random(size)
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
     def survival(self, x):
         xa = _as_array(x)
@@ -706,10 +715,13 @@ def _exp_tilted_survival(survival: Callable, s: float) -> Callable:
 class SurvivalDefined(ScalarDistribution):
     """Law given only through a survival function handle.
 
-    Sampling is by inverse transform on a dense cached monotone table
-    (65536 nodes down to survival 1e-16), which keeps the x-error of
-    inversion around the table's interpolation error (~1e-8 for the
-    exponential-envelope tails this exists for).
+    Sampling is by inverse transform in t = -log S, on a cached table of
+    x at 65536 equally spaced t from 0 to t_max = -log S(x_max), where
+    S(x_max) <= 1e-16.  A draw is t ~ Exp(1) (or t = -log u for
+    `inverse_survival(u)`), then one index computation and one lerp; t
+    beyond t_max maps to x_max.  The table is resampled from a dense
+    monotone table on a uniform x grid, and the x-error of inversion stays
+    around 1e-8 for the exponential-envelope tails this exists for.
     """
 
     def __init__(self, S: Callable, support_lo: float, decay_rate: float = 1.0, name: str = "survival"):
@@ -738,26 +750,43 @@ class SurvivalDefined(ScalarDistribution):
         return f"SurvivalDefined({self.name})"
 
     def _inversion_table(self):
+        """(1/dt, x, dx): x[j] = x(j dt) and dx[j] = x[j+1] - x[j], with dx = 0 at the last node."""
         if self._table is None:
+            n = 65536
             lo = self.support_lo
             hi = lo + 1.0 / self.decay_rate
             while float(self.S(hi)) > 1e-16:
                 hi = lo + 2.0 * (hi - lo)
-            xs = np.linspace(lo, hi, 65536)
+            xs = np.linspace(lo, hi, n)
             sv = np.asarray(self.S(xs), dtype=float)
             sv = np.minimum.accumulate(np.clip(sv, 1e-300, 1.0))
             keep = np.concatenate([[True], np.diff(sv) < 0])
-            self._table = (-np.log(sv[keep]), xs[keep])
+            nls = -np.log(sv[keep])
+            xs = xs[keep]
+            del sv, keep  # free the build's temporaries before the resampling pass
+            x = np.interp(np.linspace(0.0, nls[-1], n), nls, xs)
+            self._table = ((n - 1) / nls[-1], x, np.append(np.diff(x), 0.0))
         return self._table
+
+    def _invert_neglog(self, t: np.ndarray) -> np.ndarray:
+        """x with -log S(x) = t for t >= 0; overwrites t."""
+        inv_dt, x, dx = self._inversion_table()
+        pos = np.multiply(t, inv_dt, out=t)
+        np.minimum(pos, x.size - 1, out=pos)
+        i = pos.astype(np.intp)
+        pos -= i
+        pos *= dx.take(i)
+        pos += x.take(i)
+        return pos
 
     def inverse_survival(self, u):
         """x with S(x) = u, vectorized."""
-        nls, xs = self._inversion_table()
-        ua = np.clip(_as_array(u), np.exp(-nls[-1]), 1.0)
-        return _maybe_scalar(np.interp(-np.log(ua), nls, xs), u)
+        with np.errstate(divide="ignore"):
+            t = -np.log(np.clip(_as_array(u), 0.0, 1.0).reshape(-1))
+        return _maybe_scalar(self._invert_neglog(t).reshape(np.shape(u)), u)
 
     def sample(self, rng, size):
-        return np.asarray(self.inverse_survival(rng.random(size)))
+        return self._invert_neglog(rng.standard_exponential(size))
 
     def survival(self, x):
         xa = _as_array(x)

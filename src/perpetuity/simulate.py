@@ -50,7 +50,6 @@ class SimConfig:
     truncation_eps: float = 1e-16
     max_terms: int = 1_000_000
     n_streams: int = 1
-    mode: object = "series"  # "series" | ("fixed", n_iterations)
 
 
 @dataclass
@@ -87,31 +86,56 @@ def _chunk_rng(master_seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _simulate_chunk(joint: JointInput, cfg: SimConfig, chunk_index: int, m: int):
+def _constant_a_chunk(gamma: float, B: ScalarDistribution, cfg: SimConfig, rng, values, terms, truncated):
+    """A == gamma: every draw retires at the same term, so add gamma^{k-1} B_k row by row."""
+    values[:] = 0.0
+    pi = 1.0
+    k = 0
+    converged = False
+    while k < cfg.max_terms and not converged:
+        k += 1
+        b = B.sample(rng, values.size)
+        b *= pi
+        values += b
+        pi *= gamma
+        converged = not abs(pi) > cfg.truncation_eps
+    terms[:] = k
+    truncated[:] = not converged
+
+
+def _simulate_chunk(joint: JointInput, cfg: SimConfig, chunk_index: int, values, terms, truncated):
+    """Fill one chunk's slices of the batch's values, terms_used and truncated."""
     rng = _chunk_rng(cfg.master_seed, chunk_index)
-    if cfg.mode != "series":
-        _, n_iter = cfg.mode
-        x = np.zeros(m)
-        for _ in range(int(n_iter)):
-            a, b = sample_pair(joint, rng, m)
-            x = a * x + b
-        return x, np.full(m, int(n_iter)), np.zeros(m, dtype=bool)
+    if joint.independent and isinstance(joint.A, PointMass):
+        _constant_a_chunk(float(joint.A.value), joint.B, cfg, rng, values, terms, truncated)
+        return
+    # Live draws only: (x, pi, idx) are compacted as draws retire, and a
+    # draw's x and term count are written out once, when it retires.
+    m = values.size
     x = np.zeros(m)
     pi = np.ones(m)
-    terms = np.zeros(m, dtype=np.int64)
-    active = np.arange(m)
+    idx = np.arange(m)
     k = 0
-    while active.size and k < cfg.max_terms:
+    while idx.size and k < cfg.max_terms:
         k += 1
-        a, b = sample_pair(joint, rng, active.size)
-        x[active] += pi[active] * b
-        new_pi = pi[active] * a
-        pi[active] = new_pi
-        terms[active] = k
-        active = active[np.abs(new_pi) > cfg.truncation_eps]
-    truncated = np.zeros(m, dtype=bool)
-    truncated[active] = True
-    return x, terms, truncated
+        a, b = sample_pair(joint, rng, idx.size)
+        b *= pi
+        x += b
+        pi *= a
+        live = np.abs(pi, out=b) > cfg.truncation_eps
+        if not live.all():
+            done = ~live
+            gone = idx[done]
+            values[gone] = x[done]
+            terms[gone] = k
+            # one array at a time, so that at most one old copy is alive
+            x = x[live]
+            pi = pi[live]
+            idx = idx[live]
+    values[idx] = x
+    terms[idx] = k
+    truncated[:] = False
+    truncated[idx] = True
 
 
 def draw_perpetuity(joint: JointInput, cfg: SimConfig, rng: np.random.Generator):
@@ -139,10 +163,7 @@ def sample_batch(joint: JointInput, cfg: SimConfig) -> SampleBatch:
 
     def run(j):
         lo, hi = bounds[j]
-        v, t, tr = _simulate_chunk(joint, cfg, j, hi - lo)
-        values[lo:hi] = v
-        terms[lo:hi] = t
-        truncated[lo:hi] = tr
+        _simulate_chunk(joint, cfg, j, values[lo:hi], terms[lo:hi], truncated[lo:hi])
 
     if cfg.n_streams > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=cfg.n_streams) as pool:

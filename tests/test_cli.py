@@ -271,3 +271,17 @@ def test_sample_csv_identical_across_stream_counts(tmp_path):
         assert run("simulate", path, out) == 0
         blobs.append((out / "samples.csv").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_readme_positional_config_form(tmp_path, capsys):
+    # `perpetuity simulate config.txt --out results/ --seed 42`, as the README prints it
+    path = write(tmp_path, BASE)
+    assert main(["simulate", path, "--out", str(tmp_path / "pos"), "--seed", "42", "--no-timestamp"]) == 0
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "opt"), "--seed", "42", "--no-timestamp"]) == 0
+    for name in ("summary.json", "samples.csv"):
+        assert (tmp_path / "pos" / name).read_bytes() == (tmp_path / "opt" / name).read_bytes()
+    assert main(["moments", path, "--out", str(tmp_path / "m"), "--strict", "--no-timestamp"]) == 0
+    assert (tmp_path / "m" / "verdict.json").exists()
+    # a path given both ways is refused, not silently dropped
+    assert main(["simulate", path, "--config", path, "--out", str(tmp_path / "both")]) == 2
+    assert "config given twice" in capsys.readouterr().err

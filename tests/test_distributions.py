@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from perpetuity.distributions import (
     Beta,
@@ -147,6 +148,31 @@ def test_survival_defined_round_trip():
     xs = np.linspace(0.1, 15.0, 40)
     back = d.inverse_survival(np.asarray(d.survival(xs)))
     assert np.max(np.abs(back - xs)) < 1e-6
+
+
+@pytest.mark.parametrize("p", [2.0, 0.5])
+def test_beta_p_1_draws_ks(p):
+    d = Beta(p, 1.0)
+    draws = d.sample(np.random.default_rng(606), 200_000)
+    res = stats.kstest(draws, lambda x: 1.0 - np.asarray(d.survival(x)))
+    assert res.pvalue > 1e-3
+
+
+def test_survival_defined_round_trip_in_u():
+    S = lambda x: (1.0 + np.asarray(x, dtype=float)) ** -2 * np.exp(-np.asarray(x, dtype=float))
+    d = SurvivalDefined(S, 0.0, 1.0, "poly-exp")
+    u = np.logspace(0.0, -16.0, 161)
+    back = np.asarray(d.survival(d.inverse_survival(u)))
+    assert np.max(np.abs(back / u - 1.0)) < 1e-6
+    assert d.inverse_survival(1.0) == 0.0
+
+
+def test_survival_defined_draws_ks():
+    S = lambda x: (1.0 + np.asarray(x, dtype=float)) ** -2 * np.exp(-np.asarray(x, dtype=float))
+    d = SurvivalDefined(S, 0.0, 1.0, "poly-exp")
+    draws = d.sample(np.random.default_rng(607), 200_000)
+    res = stats.kstest(draws, lambda x: 1.0 - np.asarray(d.survival(x)))
+    assert res.pvalue > 1e-3
 
 
 def test_survival_defined_mgf_near_its_decay_rate():

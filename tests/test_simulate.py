@@ -7,12 +7,19 @@ from scipy import special, stats
 from perpetuity.distributions import (
     Beta,
     Exponential,
+    Gamma,
     JointInput,
     PointMass,
+    SurvivalDefined,
+    ThresholdDependent,
     Uniform,
+    sample_pair,
 )
 from perpetuity.simulate import (
+    CHUNK,
     SimConfig,
+    _chunk_rng,
+    _simulate_chunk,
     check_convergence,
     conditional_tail_estimate,
     draw_perpetuity,
@@ -26,6 +33,8 @@ from conftest import ks_distance
 
 GEOMETRIC = JointInput(PointMass(0.5), PointMass(1.0))
 GAMMA_CASE = JointInput(Beta(2.0, 1.0), Exponential(1.0))
+POLY_EXP = SurvivalDefined(lambda x: (1.0 + np.asarray(x, dtype=float)) ** -2
+                           * np.exp(-np.asarray(x, dtype=float)), 0.0, 1.0, "poly-exp")
 
 
 def gamma3_cdf(x):
@@ -42,9 +51,15 @@ def test_same_config_is_bitwise_identical():
 
 @pytest.mark.parametrize("streams", [2, 4, 8])
 def test_stream_count_does_not_change_output(streams):
-    base = sample_batch(GAMMA_CASE, SimConfig(n_samples=200_000, master_seed=9, n_streams=1))
-    multi = sample_batch(GAMMA_CASE, SimConfig(n_samples=200_000, master_seed=9, n_streams=streams))
-    assert np.array_equal(base.values, multi.values)
+    n = 200_000
+    assert n % CHUNK != 0  # a short last chunk
+    # the general kernel, the constant-A path and a SurvivalDefined B
+    for joint in (GAMMA_CASE, JointInput(PointMass(-0.7), Exponential(1.0)), JointInput(Uniform(0.0, 1.0), POLY_EXP)):
+        base = sample_batch(joint, SimConfig(n_samples=n, master_seed=9, n_streams=1))
+        multi = sample_batch(joint, SimConfig(n_samples=n, master_seed=9, n_streams=streams))
+        assert np.array_equal(base.values, multi.values)
+        assert np.array_equal(base.terms_used, multi.terms_used)
+        assert np.array_equal(base.truncated, multi.truncated)
 
 
 def test_empty_batch_is_valid():
@@ -67,6 +82,58 @@ def test_truncation_cap_is_reported_not_hidden():
     batch = sample_batch(stall, SimConfig(n_samples=256, master_seed=5, max_terms=50))
     assert batch.truncation_report["n_truncated"] == 256
     assert np.all(batch.terms_used == 50)
+
+
+@pytest.mark.parametrize("gamma", [0.5, -0.7])
+def test_constant_a_term_count_is_closed_form(gamma):
+    joint = JointInput(PointMass(gamma), Exponential(1.0))
+    eps = 1e-16
+    k = math.ceil(math.log(eps) / math.log(abs(gamma)))
+    batch = sample_batch(joint, SimConfig(n_samples=1000, master_seed=8, truncation_eps=eps))
+    assert np.all(batch.terms_used == k)
+    assert batch.truncation_report["n_truncated"] == 0
+    capped = sample_batch(joint, SimConfig(n_samples=1000, master_seed=8, truncation_eps=eps, max_terms=k - 1))
+    assert np.all(capped.terms_used == k - 1)
+    assert capped.truncation_report["n_truncated"] == 1000
+
+
+def _masked_loop_reference(joint, cfg, chunk_index, m):
+    """The series kernel before compaction: every term gathers and scatters x and pi through the live index."""
+    rng = _chunk_rng(cfg.master_seed, chunk_index)
+    x = np.zeros(m)
+    pi = np.ones(m)
+    terms = np.zeros(m, dtype=np.int64)
+    active = np.arange(m)
+    k = 0
+    while active.size and k < cfg.max_terms:
+        k += 1
+        a, b = sample_pair(joint, rng, active.size)
+        x[active] += pi[active] * b
+        new_pi = pi[active] * a
+        pi[active] = new_pi
+        terms[active] = k
+        active = active[np.abs(new_pi) > cfg.truncation_eps]
+    truncated = np.zeros(m, dtype=bool)
+    truncated[active] = True
+    return x, terms, truncated
+
+
+@pytest.mark.parametrize("joint", [
+    JointInput(Uniform(0.0, 1.0), Gamma(2.0, 1.0)),
+    JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0)),
+], ids=["uniform-gamma", "threshold"])
+@pytest.mark.parametrize("eps,max_terms", [(1e-16, 1_000_000), (1e-6, 20)], ids=["full", "capped"])
+def test_compacted_kernel_matches_masked_reference(joint, eps, max_terms):
+    cfg = SimConfig(n_samples=5000, master_seed=19, truncation_eps=eps, max_terms=max_terms)
+    for chunk_index in (0, 3):
+        got = (np.empty(5000), np.empty(5000, dtype=np.int64), np.empty(5000, dtype=bool))
+        _simulate_chunk(joint, cfg, chunk_index, *got)
+        want = _masked_loop_reference(joint, cfg, chunk_index, 5000)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+    if max_terms == 20:
+        assert 0 < want[2].sum() < want[2].size  # both retired and truncated draws
 
 
 def test_distributional_fixed_point_two_sample_ks():
