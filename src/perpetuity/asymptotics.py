@@ -25,7 +25,6 @@ from .distributions import (
     ExpPlusRemainder,
     GammaLike,
     JointInput,
-    Mixture,
     NoClosedForm,
     PointMass,
     ScalarDistribution,
@@ -131,7 +130,12 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig,
         raise PredictionRefused(f"E psi(bA) not established finite: {verdict.verdict}", verdict=verdict)
     trace = [f"E psi(bA) finite via {verdict.theorem_used}"]
     if tail_of_B is None:
-        tail_of_B = _default_tail_model(joint.B, b)
+        tail = joint.B.exp_tail()
+        if tail is None:
+            raise PredictionRefused("no tail model supplied and none derivable for B")
+        if tail.b != b:
+            raise PredictionRefused(f"B's exponential tail has rate {tail.b:g}, not b = {b:g}")
+        tail_of_B = GammaLike(tail.C, 0.0, b)
         trace.append("tail model of B derived from its law")
     A = joint.A
     if isinstance(A, PointMass) and 0.0 < A.value < 1.0:
@@ -156,44 +160,6 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig,
         trace.append(f"constant by median-of-means over {batch.values.size} draws")
     form = GammaLike(tail_of_B.a * const, tail_of_B.c, tail_of_B.b)
     return TailPrediction(form, const, source, "PropMainII", trace, std_err=se)
-
-
-def _default_tail_model(B: ScalarDistribution, b: float) -> GammaLike:
-    """Exact GammaLike right-tail coefficient for exponential-envelope laws."""
-    lim = _exp_tail_coefficient(B, b)
-    if lim is None:
-        raise PredictionRefused("no tail model supplied and none derivable for B")
-    return GammaLike(lim, 0.0, b)
-
-
-def _exp_tail_coefficient(B: ScalarDistribution, b: float) -> Optional[float]:
-    """lim e^{bx} P{B > x} for laws built from rate-b exponentials, else None."""
-    from .distributions import Exponential, Negated, Difference
-
-    if isinstance(B, Exponential):
-        return 1.0 if B.rate == b else None
-    if isinstance(B, PointMass) or isinstance(B, Negated):
-        return 0.0
-    if isinstance(B, Difference):
-        co = _exp_tail_coefficient(B.left, b)
-        if co is None:
-            return None
-        m = B.right.mgf(-b)
-        return co * m if m < math.inf else None
-    if isinstance(B, Mixture):
-        total = 0.0
-        for w, comp in B.components:
-            co = _exp_tail_coefficient(comp, b)
-            if co is None:
-                # components decaying strictly faster do not contribute
-                _, hi = comp.mgf_domain()
-                if hi > b:
-                    co = 0.0
-                else:
-                    return None
-            total += w * co
-        return total
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +407,13 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
 # Characteristic function of X
 # ---------------------------------------------------------------------------
 
-def _beta_lam(A: ScalarDistribution) -> float:
-    if isinstance(A, Beta) and A.q == 1.0:
-        return A.p
-    if isinstance(A, Uniform) and A.lo == 0.0 and A.hi == 1.0:
-        return 1.0
-    raise PredictionRefused("the CF representation needs A ~ Beta(lam, 1)")
-
-
 def perpetuity_cf(joint: JointInput, t: float, tol: float = 1e-10) -> complex:
     """Psi(t) = Phi(t) exp(lam int_0^t (Phi(u)-1)/u du) for A ~ Beta(lam, 1)."""
     if not joint.independent:
         raise PredictionRefused("the CF representation needs independent (A, B)")
-    lam = _beta_lam(joint.A)
+    lam = joint.A.beta_lam()
+    if lam is None:
+        raise PredictionRefused("the CF representation needs A ~ Beta(lam, 1)")
     B = joint.B
     if B.log1p_neg_moment_finite() is not True:
         raise PredictionRefused("E log(1 + B^-) < inf not established")

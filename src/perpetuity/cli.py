@@ -39,7 +39,6 @@ from .criteria import DispatchError, dispatch_exp_moment
 from .distributions import (
     Beta,
     Difference,
-    ExpPlusRemainder,
     Exponential,
     Gamma,
     GammaLike,
@@ -328,75 +327,22 @@ def cmd_moments(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _derive_exp_plus_remainder(B):
-    """(ExpPlusRemainder, left_tail, left_decay_hint) for mixture-of-exponential shapes."""
-    if isinstance(B, Exponential):
-        return ExpPlusRemainder(C=1.0, b=B.rate), None, None
-    if isinstance(B, Mixture) and all(isinstance(d, Exponential) for _, d in B.components):
-        rates = sorted({d.rate for _, d in B.components})
-        b = rates[0]
-        C = sum(w for w, d in B.components if d.rate == b)
-        rest = [(w, d.rate) for w, d in B.components if d.rate > b]
-
-        def r(x):
-            xa = np.asarray(x, dtype=float)
-            out = np.zeros_like(xa)
-            for w, rate in rest:
-                out += w * np.exp(-rate * xa)
-            return out
-
-        margin = (rates[1] - b) if len(rates) > 1 else 1.0
-        return ExpPlusRemainder(C=C, b=b, r=r, r_decay_margin=margin), None, None
-    if isinstance(B, Difference):
-        inner, _, _ = _derive_exp_plus_remainder(B.left)
-        if inner is None:
-            return None, None, None
-        b = inner.b
-        m = B.right.mgf(-b)
-        if not m < math.inf:
-            return None, None, None
-
-        def r(x):
-            # E r_left(x + R), termwise closed form for mixture remainders
-            xa = np.asarray(x, dtype=float)
-            out = np.zeros_like(xa)
-            if isinstance(B.left, Mixture):
-                for w, d in B.left.components:
-                    if d.rate > b:
-                        out += w * B.right.mgf(-d.rate) * np.exp(-d.rate * xa)
-            return out
-
-        neg = Difference(B.right, B.left)
-        left_tail = lambda y: np.asarray(neg.survival(-np.asarray(y, dtype=float)))
-        hint = B.right.mgf_domain()[1]
-        return ExpPlusRemainder(C=inner.C * m, b=b, r=r,
-                                r_decay_margin=inner.r_decay_margin), left_tail, hint
-    return None, None, None
-
-
-def _beta_lam_or_none(A):
-    if isinstance(A, Beta) and A.q == 1.0:
-        return A.p
-    if isinstance(A, Uniform) and A.lo == 0.0 and A.hi == 1.0:
-        return 1.0
-    return None
-
-
 def cmd_tail(cfg: dict, args) -> int:
     joint = build_joint(cfg)
     misses = []
     prediction = None
 
-    lam = _beta_lam_or_none(joint.A) if joint.independent else None
+    lam = joint.A.beta_lam() if joint.independent else None
     if lam is not None:
-        tail, left, hint = _derive_exp_plus_remainder(joint.B)
-        if tail is not None:
+        tail, left = joint.B.exp_tail(), joint.B.left_tail()
+        if tail is None or left is None:
+            what = "exponential-plus-remainder model" if tail is None else "left-tail handle"
+            misses.append(f"power-corrected route: no {what} for B")
+        else:
             try:
-                prediction = thm2_K(lam, tail, left_tail=left, left_decay_hint=hint)
+                prediction = thm2_K(lam, tail, left_tail=left[0], left_decay_hint=left[1])
             except PredictionRefused as e:
                 misses.append(f"power-corrected route: {e}")
-        else:
-            misses.append("power-corrected route: no exponential-plus-remainder model for B")
     else:
         misses.append("power-corrected route: A is not a Beta(lam, 1) law")
 
@@ -532,3 +478,7 @@ def main(argv=None) -> int:
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -16,15 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    Beta,
-    Exponential,
-    Gamma,
     JointInput,
     Mixture,
     NoClosedForm,
     PointMass,
     ScalarDistribution,
-    Uniform,
     structural_flags,
     validate_nondegeneracy,
 )
@@ -106,18 +102,6 @@ def _weighted_mgf_at_atom(joint: JointInput, r: float, a_val: float):
     return ("ok", phi * p)
 
 
-def _pole_order(B: ScalarDistribution):
-    """Right MGF-domain endpoint and pole order for table laws, else None."""
-    if isinstance(B, Exponential):
-        return B.rate, 1.0
-    if isinstance(B, Gamma):
-        return B.rate, B.shape
-    lo, hi = B.mgf_domain()
-    if hi == _INF:
-        return _INF, 0.0
-    return None
-
-
 def expected_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
     """E phi(rA) with phi(s) = E e^{sB}: (status, value).
 
@@ -135,7 +119,7 @@ def expected_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
                 return ("infinite", None)
             total += w * phi
         return ("finite", total)
-    pole = _pole_order(B)
+    pole = B.mgf_pole()
     if pole is None:
         return ("unknown", None)
     s_max, order = pole
@@ -154,21 +138,12 @@ def expected_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
             return ("infinite", None)
         return ("unknown", None)
     # r * a_hi == s_max: the boundary depends on the density decay at a_hi.
-    q_exp = _upper_density_exponent(A)
+    q_exp = A.upper_density_exponent()
     if q_exp is None:
         return ("unknown", None)
     if q_exp > order:
         return ("finite", None)
     return ("infinite", None)
-
-
-def _upper_density_exponent(A: ScalarDistribution):
-    """q with density ~ const * (a_hi - u)^{q-1} near the upper support end."""
-    if isinstance(A, Beta):
-        return A.q
-    if isinstance(A, Uniform):
-        return 1.0
-    return None
 
 
 def _integrate_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
@@ -326,6 +301,13 @@ def exp_moment_criterion_mixedA(joint: JointInput, r: float) -> MomentVerdict:
 # Two-sided absolute-moment criterion
 # ---------------------------------------------------------------------------
 
+def _unit_atom_inequality(phi_m: float, phi_p: float, p1: float, pm1: float):
+    """(phi(-r) phi(r) P{A=-1}^2 < (1 - phi(-r) P{A=1})(1 - phi(r) P{A=1}) with both factors > 0, witness)."""
+    lhs = phi_m * phi_p * pm1 * pm1
+    rhs = (1.0 - phi_m * p1) * (1.0 - phi_p * p1)
+    return lhs < rhs and phi_m * p1 < 1.0 and phi_p * p1 < 1.0, {"lhs": lhs, "rhs": rhs}
+
+
 def two_sided_criterion_AIR(joint: JointInput, r: float) -> MomentVerdict:
     """Finiteness of E e^{r|X|} (and, with P{A=-1}>0, of E e^{rX})."""
     if r <= 0:
@@ -363,11 +345,9 @@ def two_sided_criterion_AIR(joint: JointInput, r: float) -> MomentVerdict:
             return MomentVerdict(INCONCLUSIVE, name + " (unit atoms)", trace)
         if phi_p == _INF or phi_m == _INF:
             return MomentVerdict(INFINITE, name + " (unit atoms)", trace)
-        lhs = phi_m * phi_p * pm1 * pm1
-        rhs = (1.0 - phi_m * p1) * (1.0 - phi_p * p1)
-        c_ineq = lhs < rhs and phi_m * p1 < 1.0 and phi_p * p1 < 1.0
+        c_ineq, witness = _unit_atom_inequality(phi_m, phi_p, p1, pm1)
         trace.append(Condition("E e^{-rB}1{A=-1} E e^{rB}1{A=-1} < (1-E e^{-rB}1{A=1})(1-E e^{rB}1{A=1})",
-                               _tv(c_ineq), {"lhs": lhs, "rhs": rhs}))
+                               _tv(c_ineq), witness))
         conds = [flags.A_bounded_by_1, c_absB, c_ineq]
         if all(c is True for c in conds):
             return MomentVerdict(FINITE, name + " (unit atoms)", trace)
@@ -438,11 +418,9 @@ def prop_main_part1(joint: JointInput, r: float) -> MomentVerdict:
         if phi_p == _INF or phi_m == _INF:
             trace.append(Condition("E e^{rB}, E e^{-rB} < inf", "violated", None))
             return MomentVerdict(INFINITE, name + " (c)", trace)
-        lhs = phi_m * phi_p * pm1 * pm1
-        rhs = (1.0 - phi_m * p1) * (1.0 - phi_p * p1)
-        ok = lhs < rhs and phi_m * p1 < 1.0 and phi_p * p1 < 1.0
+        ok, witness = _unit_atom_inequality(phi_m, phi_p, p1, pm1)
         trace.append(Condition("E e^{-rB} E e^{rB} P{A=-1}^2 < (1-E e^{-rB}P{A=1})(1-E e^{rB}P{A=1})",
-                               _tv(ok), {"lhs": lhs, "rhs": rhs}))
+                               _tv(ok), witness))
         return MomentVerdict(FINITE if ok else INFINITE, name + " (c)", trace)
 
     raise DispatchError("A matches none of the cases (0,1], (-1,0), or |A| in (0,1] with an atom at -1")

@@ -129,6 +129,31 @@ class ScalarDistribution:
             return True
         return None
 
+    def mgf_pole(self) -> Optional[tuple[float, float]]:
+        """(s_max, order) with E e^{sD} ~ const (s_max - s)^{-order} as s -> s_max-; (inf, 0) if entire."""
+        return (_INF, 0.0) if self.mgf_domain()[1] == _INF else None
+
+    def upper_density_exponent(self) -> Optional[float]:
+        """q with density ~ const (hi - u)^{q-1} near the upper end hi of the support."""
+        return None
+
+    def beta_lam(self) -> Optional[float]:
+        """lam when the law is Beta(lam, 1), Uniform(0, 1) being lam = 1; else None."""
+        return None
+
+    # -- tail shape (stated exactly, or None) ------------------------------
+    def exp_tail(self) -> Optional["ExpPlusRemainder"]:
+        """P{D > x} = C e^{-bx} + r(x) on x >= 0, at the law's own rate b."""
+        return None
+
+    def _exp_terms(self) -> Optional[tuple[tuple[float, float], ...]]:
+        """Pairs (c, beta) with P{D > x} = sum of c e^{-beta x} on x >= 0."""
+        return None
+
+    def left_tail(self) -> Optional[tuple[Optional[Callable], Optional[float]]]:
+        """(y -> P{D <= y} for y < 0, its decay rate) for thm2_K; (None, None) if D >= 0, None if unknown."""
+        return (None, None) if self.support()[0] >= 0.0 else None
+
 
 @dataclass(frozen=True)
 class PointMass(ScalarDistribution):
@@ -207,6 +232,15 @@ class Exponential(ScalarDistribution):
     def mgf_domain(self):
         return (-_INF, self.rate)
 
+    def mgf_pole(self):
+        return (self.rate, 1.0)
+
+    def exp_tail(self):
+        return ExpPlusRemainder(C=1.0, b=self.rate)
+
+    def _exp_terms(self):
+        return ((1.0, self.rate),)
+
 
 @dataclass(frozen=True)
 class Gamma(ScalarDistribution):
@@ -255,6 +289,9 @@ class Gamma(ScalarDistribution):
 
     def mgf_domain(self):
         return (-_INF, self.rate)
+
+    def mgf_pole(self):
+        return (self.rate, self.shape)
 
 
 @dataclass(frozen=True)
@@ -319,6 +356,12 @@ class Beta(ScalarDistribution):
     def mgf_domain(self):
         return (-_INF, _INF)
 
+    def upper_density_exponent(self):
+        return self.q
+
+    def beta_lam(self):
+        return self.p if self.q == 1.0 else None
+
     def log_abs_moment(self):
         return float(special.digamma(self.p) - special.digamma(self.p + self.q))
 
@@ -374,6 +417,12 @@ class Uniform(ScalarDistribution):
 
     def mgf_domain(self):
         return (-_INF, _INF)
+
+    def upper_density_exponent(self):
+        return 1.0
+
+    def beta_lam(self):
+        return 1.0 if (self.lo, self.hi) == (0.0, 1.0) else None
 
     def log_abs_moment(self):
         if self.lo >= 0:
@@ -614,6 +663,36 @@ class Mixture(ScalarDistribution):
             return None
         return sum(w * p for (w, _), p in zip(self.components, parts))
 
+    def exp_tail(self):
+        """Components at rate b add w C and w r; a faster one (MGF finite past b) adds its whole survival to r."""
+        b = self.mgf_domain()[1]
+        if b == _INF:
+            return None
+        C, parts, margins = 0.0, [], []
+        for w, d in self.components:
+            hi = d.mgf_domain()[1]
+            if hi > b:
+                if _prob_gt(d, 0.0) is None:
+                    return None
+                parts.append((w, d.survival))
+                if hi < _INF:
+                    margins.append(hi - b)
+                continue
+            t = d.exp_tail()
+            if t is None or t.b != b:
+                return None
+            C += w * t.C
+            if t.r is not _no_remainder:
+                parts.append((w, t.r))
+                margins.append(t.r_decay_margin)
+        return ExpPlusRemainder(C, b, _weighted_sum(parts), r_decay_margin=min(margins, default=1.0))
+
+    def _exp_terms(self):
+        parts = [d._exp_terms() for _, d in self.components]
+        if any(p is None for p in parts):
+            return None
+        return tuple((w * c, beta) for (w, _), p in zip(self.components, parts) for c, beta in p)
+
 
 @dataclass(frozen=True)
 class Difference(ScalarDistribution):
@@ -700,6 +779,43 @@ class Difference(ScalarDistribution):
         llo, lhi = self.left.mgf_domain()
         rlo, rhi = self.right.mgf_domain()
         return (max(llo, -rhi), min(lhi, -rlo))
+
+    def exp_tail(self):
+        """P{L - R > x} = C E e^{-bR} e^{-bx} + E r_L(x + R), stated when L is a sum of exponentials."""
+        inner, terms = self.left.exp_tail(), self._exp_terms()
+        if inner is None or terms is None:
+            return None
+        b = inner.b
+        rest = [(c, Exponential(beta).survival) for c, beta in terms if beta > b]
+        return ExpPlusRemainder(inner.C * self.right.mgf(-b), b, _weighted_sum(rest),
+                                r_decay_margin=inner.r_decay_margin)
+
+    def _exp_terms(self):
+        # E e^{-beta (x + R)} = e^{-beta x} E e^{-beta R}, valid on x >= 0 only for R >= 0
+        terms = self.left._exp_terms()
+        if terms is None or self.right.support()[0] < 0.0:
+            return None
+        return tuple((c * self.right.mgf(-beta), beta) for c, beta in terms)
+
+    def left_tail(self):
+        neg = Difference(self.right, self.left)
+        hint = self.right.mgf_domain()[1]
+        return (lambda y: np.asarray(neg.survival(-_as_array(y))), hint if hint < _INF else 1.0)
+
+
+def _weighted_sum(parts) -> Callable:
+    """x -> sum of w f(x) over the (w, f) pairs; the zero remainder when there are none."""
+    if not parts:
+        return _no_remainder
+
+    def r(x):
+        xa = _as_array(x)
+        out = np.zeros_like(xa)
+        for w, f in parts:
+            out += w * np.asarray(f(xa))
+        return out
+
+    return r
 
 
 def _exp_tilted_survival(survival: Callable, s: float) -> Callable:
@@ -925,14 +1041,11 @@ def sample_pair(joint: JointInput, rng: np.random.Generator, size: int):
 class StructuralFlags:
     p_A_eq_1: Optional[float]
     p_A_eq_neg1: Optional[float]
-    p_A_in_0_1: Optional[float]
-    p_A_pos: Optional[float]
     p_A_neg: Optional[float]
     A_bounded_by_1: Optional[bool]
     A_positive: Optional[bool]
     B_nonneg: Optional[bool]
     B_nonpos: Optional[bool]
-    mgf_B_domain: tuple[float, float]
     log_moment_B_minus_finite: Optional[bool]
 
 
@@ -953,14 +1066,9 @@ def structural_flags(joint: JointInput) -> StructuralFlags:
     pm1 = A.atom_at(-1.0)
     a0 = A.atom_at(0.0)
     s0 = _prob_gt(A, 0.0)
-    s1 = _prob_gt(A, 1.0)
-    p_pos = s0
     p_neg = None
     if s0 is not None and a0 is not None:
         p_neg = max(0.0, 1.0 - s0 - a0)
-    p_in_01 = None
-    if s0 is not None and s1 is not None:
-        p_in_01 = max(0.0, s0 - s1)
     if a_hi > 1.0 or a_lo < -1.0:
         bounded_by_1 = False
     else:
@@ -976,20 +1084,13 @@ def structural_flags(joint: JointInput) -> StructuralFlags:
     return StructuralFlags(
         p_A_eq_1=p1,
         p_A_eq_neg1=pm1,
-        p_A_in_0_1=p_in_01,
-        p_A_pos=p_pos,
         p_A_neg=p_neg,
         A_bounded_by_1=bounded_by_1,
         A_positive=positive,
         B_nonneg=b_lo >= 0.0,
         B_nonpos=b_hi <= 0.0,
-        mgf_B_domain=B.mgf_domain(),
         log_moment_B_minus_finite=B.log1p_neg_moment_finite(),
     )
-
-
-def _zero_or(v):
-    return 0.0 if v is None else v
 
 
 @dataclass
@@ -1053,13 +1154,17 @@ class GammaLike:
         return _maybe_scalar(self.a * np.power(np.maximum(xa, 1e-300), self.c) * np.exp(-self.b * xa), x)
 
 
+def _no_remainder(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 @dataclass(frozen=True)
 class ExpPlusRemainder:
     """Right-tail decomposition P{B > x} = C e^{-bx} + r(x) for x >= 0."""
 
     C: float
     b: float
-    r: Callable = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    r: Callable = _no_remainder
     r_vanishes: bool = True          # lim e^{bx} r(x) = 0
     r_integrable: bool = True        # int_1^inf e^{by}/y r+(y) dy < inf (and the eps-version for r-)
     r_decay_margin: float = 1.0      # eps with |r(y)| = O(e^{-(b+eps) y})

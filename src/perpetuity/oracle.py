@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .distributions import (
     PointMass,
 )
 from .quadrature import integrate_finite
-from .simulate import SampleBatch, SimConfig, sample_batch
+from .simulate import SimConfig, sample_batch
 
 __all__ = [
     "ReferenceCase",
@@ -247,8 +247,9 @@ def list_cases() -> list[ReferenceCase]:
 
 
 def get_case(case_id: str) -> ReferenceCase:
+    """The case with this id, full ("E3-gamma-diff") or short ("E3")."""
     for c in list_cases():
-        if c.id == case_id:
+        if case_id in (c.id, c.id.split("-")[0]):
             return c
     raise KeyError(f"unknown reference case: {case_id}")
 

@@ -17,11 +17,9 @@ import numpy as np
 
 from .distributions import (
     JointInput,
-    Mixture,
     NoClosedForm,
     PointMass,
     ScalarDistribution,
-    ThresholdDependent,
     sample_pair,
 )
 
@@ -188,16 +186,12 @@ class ConvergenceVerdict:
     evidence: list = field(default_factory=list)
 
 
-def _e_log_abs(d: ScalarDistribution) -> Optional[float]:
-    return d.log_abs_moment()
-
-
 def check_convergence(joint: JointInput, mc_seed: int = 20_240_901) -> ConvergenceVerdict:
     """E log|A| < 0 and E log(1+|B|) < inf imply a.s. convergence of the series."""
     A = joint.A_marginal()
     B = joint.B
     ev = []
-    ela = _e_log_abs(A)
+    ela = A.log_abs_moment()
     source = "symbolic"
     if ela is None:
         rng = np.random.default_rng(mc_seed)

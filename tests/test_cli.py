@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import perpetuity
 from perpetuity.cli import (
     ConfigError,
     config_hash,
@@ -285,3 +290,39 @@ def test_readme_positional_config_form(tmp_path, capsys):
     # a path given both ways is refused, not silently dropped
     assert main(["simulate", path, "--config", path, "--out", str(tmp_path / "both")]) == 2
     assert "config given twice" in capsys.readouterr().err
+
+
+def test_tail_refuses_inherited_route_below_the_increments_own_rate(tmp_path, capsys):
+    # B's own rate is 1; a tail.b of 0.5 has no inherited tail (it used to exit 2 building GammaLike(0, ...))
+    text = """
+joint.A.variant = atoms
+joint.A.values = 0.25,0.75
+joint.A.weights = 0.5,0.5
+joint.B.variant = exp_mixture
+joint.B.weights = 0.5,0.5
+joint.B.rates = 1,2
+tail.b = 0.5
+sim.n_samples = 1000
+"""
+    path = write(tmp_path, text)
+    assert run("tail", path, tmp_path / "o") == 5
+    err = capsys.readouterr().err
+    assert "inherited-tail route: B's exponential tail has rate 1, not b = 0.5" in err
+    assert "config error" not in err
+
+
+def test_validate_accepts_a_short_case_id(tmp_path):
+    code = main(["validate", "E2", "--out", str(tmp_path / "v"), "--no-timestamp"])
+    assert code in (0, 6)  # a statistical verdict either way; 2 would mean the id was not found
+    report = json.loads((tmp_path / "v" / "validation.json").read_text())
+    assert report["case_id"] == "E2-const-A"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(perpetuity.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "D"
+    proc = subprocess.run([sys.executable, "-m", "perpetuity.cli", "validate", "E1", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "validation.json").exists()

@@ -20,6 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("command,name,report", [
     ("tail", "tail_thm2_left_tail", "prediction.json"),
+    ("tail", "tail_thm2_remainder", "prediction.json"),
     ("tail", "tail_atoms_exp", "prediction.json"),
     ("moments", "moments_unit_atom", "verdict.json"),
 ])

@@ -20,6 +20,16 @@ def test_registry_contents():
         get_case("E9")
 
 
+def test_get_case_accepts_short_ids():
+    for case in list_cases():
+        short = case.id.split("-")[0]
+        assert get_case(short).id == case.id
+        assert get_case(case.id).id == case.id
+    for unknown in ("E6", "E", "E3-gamma", "gamma-diff", ""):
+        with pytest.raises(KeyError):
+            get_case(unknown)
+
+
 def test_reference_survival_gamma_identity():
     case = get_case("E1")
     assert reference_survival(case, 5.0) == pytest.approx(0.1246520, abs=1e-6)
