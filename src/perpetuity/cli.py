@@ -51,7 +51,7 @@ from .distributions import (
     ValidationError,
     validate_nondegeneracy,
 )
-from .oracle import compare_empirical, get_case
+from .oracle import ReferenceNotConverged, compare_empirical, get_case
 from .simulate import SimConfig, check_convergence, empirical_tail, sample_batch
 
 __all__ = ["entry", "parse_config_text", "serialize_config", "build_joint", "config_hash"]
@@ -401,7 +401,11 @@ def cmd_validate(cfg: dict, args) -> int:
         print(f"config error: {e.args[0]}", file=sys.stderr)
         return EXIT_CONFIG
     sim = build_sim_config(cfg, args.seed)
-    report = compare_empirical(case, sim)
+    try:
+        report = compare_empirical(case, sim)
+    except ReferenceNotConverged as e:
+        print(f"reference error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _emit_json(report.as_dict(), out / "validation.json", args.no_timestamp)

@@ -236,6 +236,19 @@ def test_validate_failure_exits_6(tmp_path):
     assert main(["validate", "E1", "--seed", "42", "--out", str(tmp_path / "v")]) == 6
 
 
+def test_validate_unconverged_reference_exits_6(tmp_path, capsys, monkeypatch):
+    from perpetuity import oracle
+
+    def refuse(case, x, *args, **kwargs):
+        raise oracle.ReferenceNotConverged("reference survival did not converge at x = 61")
+
+    monkeypatch.setattr(oracle, "reference_survival", refuse)
+    assert main(["validate", "E4", "--out", str(tmp_path / "v"), "--no-timestamp"]) == 6
+    err = capsys.readouterr().err
+    assert "reference error" in err and "x = 61" in err
+    assert not (tmp_path / "v" / "validation.json").exists()
+
+
 def test_charfn_output(tmp_path):
     text = """
 joint.A.variant = beta

@@ -1,15 +1,19 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from perpetuity import oracle
 from perpetuity.oracle import (
     compare_empirical,
     get_case,
     list_cases,
     reference_survival,
+    survival_from_cf,
 )
+from perpetuity.quadrature import _NODES, _WEIGHTS_K
 from perpetuity.simulate import SimConfig
 
 
@@ -92,3 +96,83 @@ def test_compare_empirical_report_table():
     text = report.table()
     assert "E2-const-A" in text
     assert "KS" in text
+
+
+def _mp_e3(x: float):
+    """P{G1 - G2 > x}, G1, G2 ~ Gamma(1.5, 1), by mpmath quadrature split at the kink y = -x."""
+    a, x = mp.mpf(1.5), mp.mpf(x)
+    lo = max(mp.mpf(0), -x)
+    f = lambda y: mp.gammainc(a, x + y, mp.inf, regularized=True) * y ** (a - 1) * mp.exp(-y) / mp.gamma(a)
+    return mp.gammainc(a, 0, lo, regularized=True) + mp.quad(f, [lo, lo + 1, lo + 5, lo + 20, mp.inf])
+
+
+def _mp_e5(x: float):
+    """P{-log Y + B > x}, Y ~ Beta(1, 2), B ~ (Exp(1) + Exp(2))/2, as E S_B(x + log Y) in mpmath."""
+    x = mp.mpf(x)
+    y0 = mp.exp(-x)
+    f = lambda y: (mp.exp(-(x + mp.log(y))) + mp.exp(-2 * (x + mp.log(y)))) / 2 * 2 * (1 - y)
+    return 1 - (1 - y0) ** 2 + mp.quad(f, [y0, 2 * y0, 10 * y0, 1])
+
+
+@pytest.mark.parametrize("case_id,x", [("E3", -7.716), ("E3", 0.0), ("E3", 12.0), ("E3", 20.0),
+                                        ("E3", 50.0), ("E5", 2.0), ("E5", 10.0), ("E5", 15.0)])
+def test_reference_survival_matches_mpmath(case_id, x):
+    # -7.716 sits on the validate grid next to E3's kink; 50 is deep in the tail
+    with mp.workdps(30):
+        exact = float((_mp_e3 if case_id == "E3" else _mp_e5)(x))
+    got = reference_survival(get_case(case_id), x, tol=1e-9)
+    assert abs(got - exact) <= 2e-9
+    assert abs(got - exact) <= 1e-6 * exact
+
+
+def test_inverted_cf_matches_fixed_panels():
+    # the fixed 0.08-wide Kronrod panels on (0, 400) that E4 used before, kept as the reference
+    law = get_case("E4").exact_X_law
+    edges = np.linspace(0.0, law.T, 5001)
+    half = 0.5 * (edges[1] - edges[0])
+    ts = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _NODES).ravel()
+    ws = np.tile(half * _WEIGHTS_K, 5000)
+    xs = np.array([-6.0, -0.5, 0.0, 1.3, 4.0, 9.5, 30.0])
+    fixed = 0.5 - (np.sin(ts * xs[:, None]) * law.psi(ts) / ts * ws).sum(axis=1) / math.pi
+    assert np.max(np.abs(survival_from_cf(law.psi, xs, law.T, 1e-10) - fixed)) < 1e-12
+
+
+def test_unconverged_reference_is_refused():
+    xs = np.linspace(0.5, 12.0, 16)
+    with pytest.raises(oracle.ReferenceNotConverged, match=r"did not converge at x = 0\.5, "):
+        reference_survival(get_case("E5"), xs, tol=1e-30)
+
+
+@pytest.mark.parametrize("case_id", ["E3", "E5"])
+def test_validate_grid_is_one_batch(case_id, monkeypatch):
+    # a per-x loop of adaptive quadratures would call its integrand thousands of times
+    calls = []
+    batch = oracle.integrate_batch
+
+    def counted(f, *args, **kwargs):
+        def g(y, i):
+            calls.append(y.shape)
+            return f(y, i)
+        return batch(g, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate_batch", counted)
+    grid = np.linspace(-8.0, 16.0, 512)
+    sv = reference_survival(get_case(case_id), grid, tol=1e-9)
+    assert sv.shape == grid.shape and np.all(np.diff(sv) <= 1e-9)
+    assert 0 < len(calls) <= 100
+
+
+def test_compare_empirical_makes_one_tail_call(monkeypatch):
+    seen = []
+    ref = oracle.reference_survival
+
+    def spy(case, x, *args, **kwargs):
+        seen.append(np.size(x))
+        return ref(case, x, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "reference_survival", spy)
+    report = compare_empirical(get_case("E3"), SimConfig(n_samples=5_000, master_seed=3))
+    # one call for the CDF grid, one for the five tail anchors
+    assert seen == [512, 5]
+    xs, refs = zip(*((row[0], row[3]) for row in report.tail_rows))
+    assert list(refs) == pytest.approx(ref(get_case("E3"), list(xs)), rel=1e-8)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from perpetuity import quadrature
 from perpetuity.quadrature import (
     QuadResult,
     expm1_over,
     frullani,
+    integrate_batch,
     integrate_finite,
     integrate_semi_infinite,
 )
@@ -94,3 +96,70 @@ def test_nonconvergence_is_reported_not_raised():
                            1e-15, max_panels=8)
     assert isinstance(res, QuadResult)
     assert not res.converged
+
+
+@pytest.mark.parametrize("hint", [math.inf, math.nan, 0.0, -1.0])
+def test_semi_infinite_refuses_bad_decay_hint(hint):
+    # an infinite hint made the probe step 0 and the scan never ended
+    with pytest.raises(ValueError, match="decay_hint"):
+        integrate_semi_infinite(lambda y: math.exp(-y), 0.0, 1e-10, hint)
+
+
+# (scalar integrand of member c, batch integrand, member parameters, limits)
+_BATCH_CASES = {
+    "smooth": (lambda y, c: math.exp(-c * y) * math.cos(3.0 * y),
+               lambda y, c: np.exp(-c * y) * np.cos(3.0 * y),
+               np.array([0.5, 1.0, 2.0, 4.0]), (np.zeros(4), np.array([1.0, 2.5, 4.0, 7.0]))),
+    "kinked": (lambda y, c: abs(y - c),
+               lambda y, c: np.abs(y - c),
+               np.array([0.1, 0.3337, 0.5, 0.9]), (np.zeros(4), np.ones(4))),
+    "sqrt-singular": (lambda y, c: math.sqrt(y - c) * math.exp(-y),
+                      lambda y, c: np.sqrt(np.maximum(y - c, 0.0)) * np.exp(-y),
+                      np.array([0.0, 0.25, 1.0]), (np.array([0.0, 0.25, 1.0]), np.array([1.0, 3.0, 2.0]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_CASES))
+def test_batch_agrees_with_integrate_finite(name):
+    scalar, vec, params, (lo, hi) = _BATCH_CASES[name]
+    tol = 1e-10
+    res = integrate_batch(lambda y, i: vec(y, params[i, None, None]), lo, hi, tol)
+    assert res.value.shape == params.shape and res.converged.all()
+    assert np.all(res.abs_error_estimate <= tol)
+    for k, c in enumerate(params):
+        ref = integrate_finite(lambda y: scalar(y, c), lo[k], hi[k], tol)
+        assert ref.converged
+        assert abs(res.value[k] - ref.value) <= res.abs_error_estimate[k] + ref.abs_error_estimate + 1e-14
+
+
+def test_batch_of_one_and_complex_values():
+    res = integrate_batch(lambda y, i: np.exp(1j * y), 0.0, 1.0, 1e-12)
+    assert res.value.shape == (1,) and np.iscomplexobj(res.value)
+    assert abs(res.value[0] - (math.sin(1.0) + 1j * (1.0 - math.cos(1.0)))) < 1e-12
+    assert res.converged[0]
+    # complex members with their own limits
+    his = np.array([0.5, 2.0, 10.0])
+    res = integrate_batch(lambda y, i: np.exp((1j - 0.5) * y), 0.0, his, 1e-12)
+    exact = (np.exp((1j - 0.5) * his) - 1.0) / (1j - 0.5)
+    assert np.all(np.abs(res.value - exact) < 1e-12)
+
+
+def test_batch_reports_nonconvergence_under_a_small_panel_budget(monkeypatch):
+    monkeypatch.setattr(quadrature, "_BATCH_MAX_PANELS", 8)
+    needle = lambda y, i: 1.0 / np.sqrt(np.abs(y - 0.123456789) + 1e-300)
+    res = integrate_batch(needle, 0.0, np.array([1.0, 2.0]), 1e-15)
+    assert isinstance(res, QuadResult)
+    assert not res.converged.any()
+    assert np.all(res.subdivisions <= 8)
+    assert np.all(res.abs_error_estimate > 1e-15)
+
+
+def test_batch_chunks_agree_with_one_chunk():
+    # more members than one chunk holds; each must match its own one-member batch
+    his = np.linspace(0.5, 6.0, 600)
+    f = lambda y, i: np.sqrt(y) * np.exp(-y)
+    res = integrate_batch(f, 0.0, his, 1e-11)
+    assert res.converged.all()
+    for k in (0, 255, 256, 599):
+        one = integrate_batch(f, 0.0, his[k], 1e-11)
+        assert abs(res.value[k] - one.value[0]) <= res.abs_error_estimate[k] + one.abs_error_estimate[0]
