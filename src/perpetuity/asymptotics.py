@@ -364,7 +364,8 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
 
     `left_tail(y)` is P{B <= y} for y < 0 (omit for nonnegative B).  The
     left integral is evaluated in the reflected variable so both integrals
-    share the semi-infinite routine.
+    share the semi-infinite routine.  `tail.r` and `left_tail` are called
+    on 1-d arrays of quadrature nodes, one call per bisection.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -375,9 +376,9 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
     C, b = tail.C, tail.b
 
     def right_integrand(y):
-        return expm1_over(b, y) * float(np.asarray(tail.r(y)))
+        return expm1_over(b, y) * np.asarray(tail.r(y), dtype=float)
 
-    res_r = integrate_semi_infinite(right_integrand, 0.0, tol, max(tail.r_decay_margin, 1e-3))
+    res_r = integrate_semi_infinite(right_integrand, 0.0, tol, max(tail.r_decay_margin, 1e-3), vectorized=True)
     if not res_r.converged:
         raise PredictionRefused("remainder integral did not converge", quad=res_r)
     trace.append(f"remainder integral = {res_r.value:.12g} (err {res_r.abs_error_estimate:.2g})")
@@ -387,9 +388,9 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
 
         def left_integrand(y):
             # -(e^{-by}-1)/y * P{B <= -y}, the y -> -y image of the original
-            return -expm1_over(-b, y) * float(left_tail(-y))
+            return -expm1_over(-b, y) * np.asarray(left_tail(-y), dtype=float)
 
-        res_l = integrate_semi_infinite(left_integrand, 0.0, tol, hint)
+        res_l = integrate_semi_infinite(left_integrand, 0.0, tol, hint, vectorized=True)
         if not res_l.converged:
             raise PredictionRefused("left-tail integral did not converge", quad=res_l)
         trace.append(f"left-tail integral = {res_l.value:.12g} (err {res_l.abs_error_estimate:.2g})")

@@ -728,12 +728,17 @@ class Difference(ScalarDistribution):
 
         def one(xv: float) -> float:
             def f(y):
-                return float(np.asarray(le.survival(xv + y)) * np.asarray(ri.pdf(y)))
+                return np.asarray(le.survival(xv + y)) * np.asarray(ri.pdf(y))
 
             if rhi < _INF:
-                return integrate_finite(f, rlo, rhi, tol).value
-            hint = rdom_hi if rdom_hi < _INF else 1.0
-            return integrate_semi_infinite(f, rlo, tol, max(hint, 1e-3)).value
+                res = integrate_finite(f, rlo, rhi, tol, vectorized=True)
+            else:
+                hint = rdom_hi if rdom_hi < _INF else 1.0
+                res = integrate_semi_infinite(f, rlo, tol, max(hint, 1e-3), vectorized=True)
+            if not res.converged:
+                raise NoClosedForm(f"Difference survival at x = {xv:g}: quadrature did not converge "
+                                   f"(err {res.abs_error_estimate:.2g}, {res.subdivisions} panels)")
+            return res.value
 
         xa = np.atleast_1d(_as_array(x))
         out = np.array([one(float(v)) for v in xa])
@@ -946,12 +951,16 @@ class SurvivalDefined(ScalarDistribution):
         res = integrate_semi_infinite(
             lambda y: np.exp(1j * t * y) * float(self.S(y)), lo, 1e-11, self.decay_rate
         )
+        if not res.converged:
+            raise NoClosedForm(f"SurvivalDefined charfn at t = {t:g}: quadrature did not converge")
         return complex(np.exp(1j * t * lo)) + 1j * t * res.value
 
     def mean(self):
         from .quadrature import integrate_semi_infinite
 
         res = integrate_semi_infinite(lambda y: float(self.S(y)), self.support_lo, 1e-11, self.decay_rate)
+        if not res.converged:
+            raise NoClosedForm("SurvivalDefined mean: quadrature did not converge")
         return self.support_lo + res.value
 
     def support(self):

@@ -364,6 +364,8 @@ def _e_exp_bB_above(B: ScalarDistribution, b: float, q: float) -> float:
         return math.exp(min(b * y + math.log(s), 700.0))
 
     res = integrate_semi_infinite(f, q, 1e-9, hint)
+    if not res.converged:
+        raise NoClosedForm(f"E e^{{bB}} 1{{B > {q:g}}}: quadrature did not converge")
     return f(q) + b * res.value
 
 

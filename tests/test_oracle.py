@@ -76,6 +76,26 @@ def test_exact_law_approaches_the_asymptote():
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
 
 
+# x (ratio - 1) of exact over predicted survival, ratio = P{X > x} / form(x),
+# stays in these bands over x = 20..60; the 1/x term of each expansion sets
+# them (2 + 2/x for E1's Gamma(3, 1) law, 2 for E5).  A constant off by
+# 1e-3 relative, a wrong b, or a power drift x^delta from a wrong c leaves
+# the band.  E4 is left out: its reference refuses at x = 40 and 60
+# (survival_from_cf cuts at T = 400).
+_SETTLED = {"E1": (2.02, 2.11), "E2": (-1e-9, 1e-9), "E3": (0.84, 0.875), "E5": (1.999, 2.001)}
+
+
+@pytest.mark.parametrize("case_id", sorted(_SETTLED))
+def test_predicted_asymptote_settles_against_the_exact_law(case_id):
+    case = get_case(case_id)
+    form = case.predict().form
+    xs = np.array([20.0, 30.0, 40.0, 60.0])
+    ratio = np.asarray(reference_survival(case, xs, tol=1e-12)) / np.asarray(form(xs))
+    lo, hi = _SETTLED[case_id]
+    scaled = xs * (ratio - 1.0)
+    assert np.all((scaled >= lo) & (scaled <= hi)), scaled
+
+
 def test_compare_empirical_gamma_identity_passes():
     report = compare_empirical(get_case("E1"), SimConfig(n_samples=1_000_000, master_seed=42, n_streams=4))
     assert report.passed

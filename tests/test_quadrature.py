@@ -163,3 +163,63 @@ def test_batch_chunks_agree_with_one_chunk():
     for k in (0, 255, 256, 599):
         one = integrate_batch(f, 0.0, his[k], 1e-11)
         assert abs(res.value[k] - one.value[0]) <= res.abs_error_estimate[k] + one.abs_error_estimate[0]
+
+
+class _Points:
+    """Integrand wrapper that counts the points it is evaluated at, one by one or as arrays."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = 0
+
+    def __call__(self, y):
+        self.points += np.size(y)
+        return self.f(y)
+
+
+# numpy integrands, called with one point on the scalar path and with node
+# arrays on the vectorized one: the same arithmetic on both
+_PATH_CASES = {
+    "smooth": lambda y: np.exp(-y) * np.cos(3.0 * y),
+    "kinked": lambda y: np.abs(y - 0.3337) * np.exp(-y),
+    "complex": lambda y: np.exp((5j - 0.7) * y),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_CASES))
+def test_vectorized_path_returns_the_scalar_result(name):
+    f = _PATH_CASES[name]
+    for tol in (1e-8, 1e-12):
+        want = integrate_finite(f, 0.0, 3.0, tol)
+        got = integrate_finite(f, 0.0, 3.0, tol, vectorized=True)
+        assert want.subdivisions > 1
+        assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_CASES))
+def test_vectorized_scan_picks_the_same_truncation_point(name, monkeypatch):
+    f = _PATH_CASES[name]
+    his = []
+    finite = quadrature.integrate_finite
+
+    def spy(f, lo, hi, tol, **kw):
+        his.append(hi)
+        return finite(f, lo, hi, tol, **kw)
+
+    monkeypatch.setattr(quadrature, "integrate_finite", spy)
+    want = integrate_semi_infinite(f, 0.0, 1e-11, 0.7)
+    got = integrate_semi_infinite(f, 0.0, 1e-11, 0.7, vectorized=True)
+    assert want.converged
+    assert got == want
+    assert len(his) == 2 and his[0] == his[1]
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_refusal_costs_no_more_than_the_scan(vectorized):
+    # |cos| never stays below the threshold, so no truncation point exists;
+    # integrating [0, 1e4] instead would take thousands of panels
+    f = _Points(np.cos if vectorized else math.cos)
+    res = integrate_semi_infinite(f, 0.0, 1e-10, 1.0, vectorized=vectorized)
+    assert not res.converged
+    assert math.isnan(res.value) and res.abs_error_estimate == math.inf
+    assert f.points <= 10_000 + quadrature._PROBE_CHUNK

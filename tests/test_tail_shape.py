@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -60,6 +61,25 @@ def test_exp_tail_reproduces_the_survival(name):
     np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-13)
     # the remainder is of smaller order: e^{bx} r(x) -> 0
     assert abs(float(tail.r(40.0))) * math.exp(tail.b * 40.0) < 1e-6
+
+
+def test_nested_difference_survival_matches_mpmath():
+    # the right part has a density, so each outer point is a quadrature whose
+    # integrand is itself a quadrature-backed survival
+    law = Difference(Difference(MIX_12, Exponential(4.0)), Exponential(1.5))
+
+    def inner(u):  # P{MIX_12 - Exp(4) > u}, the Exp - Exp closed form per component
+        return sum(mp.mpf(0.5) * (4 / (lam + 4) * mp.exp(-lam * u) if u >= 0 else 1 - lam / (lam + 4) * mp.exp(4 * u))
+                   for lam in (1, 2))
+
+    def exact(x):
+        with mp.workdps(30):
+            cuts = [0, -x, mp.inf] if x < 0 else [0, mp.inf]
+            return float(mp.quad(lambda y: inner(x + y) * mp.mpf(1.5) * mp.exp(-1.5 * y), cuts))
+
+    xs = np.linspace(-5.0, 5.0, 5)
+    got = np.asarray(law.survival(xs))
+    np.testing.assert_allclose(got, [exact(float(x)) for x in xs], rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("name", sorted(SILENT))
