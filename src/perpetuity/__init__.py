@@ -39,7 +39,6 @@ from .simulate import (
     SimConfig,
     TailEstimate,
     check_convergence,
-    conditional_tail_estimate,
     draw_perpetuity,
     empirical_tail,
     estimate_exp_moment,
@@ -60,7 +59,6 @@ from .criteria import (
 from .asymptotics import (
     PredictionRefused,
     TailPrediction,
-    f_function,
     perpetuity_cf,
     prop_main_constant,
     thm1_constant,

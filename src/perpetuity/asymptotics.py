@@ -28,7 +28,6 @@ from .distributions import (
     NoClosedForm,
     PointMass,
     ScalarDistribution,
-    ThresholdDependent,
     Uniform,
     _exp_tilted_survival,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "TailPrediction",
     "PredictionRefused",
     "prop_main_constant",
-    "f_function",
     "f_function_vec",
     "tilted_moment_vec",
     "SmoothedTail",
@@ -166,16 +164,8 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig,
 # Smoothing function f
 # ---------------------------------------------------------------------------
 
-def f_function(joint: JointInput, b: float, y: float) -> float:
-    """The tail-smoothing factor: lim P{Ay + B > x} / P{B > x}."""
-    if joint.independent:
-        return joint.A.mgf(b * y)
-    if isinstance(joint.dependence, ThresholdDependent):
-        return math.exp(b * y * joint.dependence.zeta1)
-    raise ValueError(f"unsupported dependence: {joint.dependence!r}")
-
-
 def f_function_vec(joint: JointInput, b: float, y: np.ndarray) -> np.ndarray:
+    """The tail-smoothing factor lim P{Ay + B > x} / P{B > x} = E e^{bAy}, at each point of y."""
     ya = np.asarray(y, dtype=float)
     if not joint.independent:
         return np.exp(b * ya * joint.dependence.zeta1)

@@ -153,7 +153,7 @@ def _integrate_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
     if A.pdf(0.5 * (lo + hi)) is None or not (math.isfinite(lo) and math.isfinite(hi)):
         return None
     res = integrate_finite(lambda u: B.mgf(r * u) * float(np.asarray(A.pdf(u))), lo, hi, 1e-10)
-    return res.value
+    return res.value if res.converged else None
 
 
 def prove_support_unbounded(joint: JointInput):

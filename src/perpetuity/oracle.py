@@ -23,9 +23,11 @@ from .distributions import (
     JointInput,
     Mixture,
     Negated,
+    NoClosedForm,
     PointMass,
+    ScalarDistribution,
 )
-from .quadrature import QuadResult, integrate_batch
+from .quadrature import integrate_batch, refuse_unconverged
 from .simulate import SimConfig, sample_batch
 
 __all__ = [
@@ -43,13 +45,9 @@ __all__ = [
 # -- exact-law tags ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class GammaLaw:
-    shape: float
-    rate: float
-
-
-@dataclass(frozen=True)
 class DifferenceOfGammas:
+    """Gamma(shape1, rate1) - Gamma(shape2, rate2), independent; its survival is the tree's `Difference`."""
+
     shape1: float
     rate1: float
     shape2: float
@@ -62,12 +60,6 @@ class ShiftedNegLogBeta:
 
     b: float
     lam: float
-
-
-@dataclass(frozen=True)
-class ExplicitSurvival:
-    handle: Callable
-    label: str = "explicit"
 
 
 @dataclass(frozen=True)
@@ -105,7 +97,7 @@ def _case_E1() -> ReferenceCase:
     return ReferenceCase(
         id="E1",
         joint=joint,
-        exact_X_law=GammaLaw(c + 1.0, b),
+        exact_X_law=Gamma(c + 1.0, b),
         asymptote=GammaLike(b ** c / math.gamma(c + 1.0), c, b),
         predict=predict,
         label="gamma identity for a beta coefficient and exponential increment",
@@ -122,13 +114,6 @@ def _case_E2() -> ReferenceCase:
     ))
     joint = JointInput(PointMass(gamma_), B)
 
-    def surv(x):
-        xa = np.asarray(x, dtype=float)
-        pos = (b / (a + b)) * np.exp(-a * np.maximum(xa, 0.0))
-        neg = 1.0 - (a / (a + b)) * np.exp(b * np.minimum(xa, 0.0))
-        out = np.where(xa > 0, pos, neg)
-        return out if xa.ndim else float(out)
-
     def predict():
         from .asymptotics import prop_main_constant
 
@@ -138,7 +123,7 @@ def _case_E2() -> ReferenceCase:
     return ReferenceCase(
         id="E2-const-A",
         joint=joint,
-        exact_X_law=ExplicitSurvival(surv, "two-sided exponential difference"),
+        exact_X_law=Difference(Exponential(a), Exponential(b)),
         asymptote=GammaLike(b / (a + b), 0.0, a),
         predict=predict,
         label="constant coefficient, increment a four-part exponential mixture",
@@ -289,7 +274,7 @@ def survival_from_cf(psi: Callable, x, T: float, tol: float):
         return val / t
 
     res = integrate_batch(f, 0.0, np.full(xa.size, float(T)), math.pi * tol)
-    _refuse_unconverged(res, xa)
+    refuse_unconverged(res, xa, ReferenceNotConverged, "reference survival")
     out = np.clip(0.5 + res.value / math.pi, 0.0, 1.0)
     return out if np.asarray(x).ndim else float(out[0])
 
@@ -297,54 +282,28 @@ def survival_from_cf(psi: Callable, x, T: float, tol: float):
 def reference_survival(case: ReferenceCase, x, tol: float = 1e-10):
     """Exact P{X > x} for a registry case; vectorized over x.
 
-    The quadrature-backed laws integrate all x in one batch, each to tol
-    (E3 and E5 relative to a bound on the value, so the far tail keeps its
-    digits).  Raises ReferenceNotConverged, naming the x values, if any
-    integral misses its tolerance.
+    A law on the distribution tree (E1, E2) answers through its own
+    survival.  The quadrature-backed laws integrate all x in one batch,
+    each to tol (E3 and E5 relative to a bound on the value, so the far
+    tail keeps its digits).  Raises ReferenceNotConverged, naming the x
+    values, if any integral misses its tolerance.
     """
     law = case.exact_X_law
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(law, GammaLaw):
-        out = np.asarray(Gamma(law.shape, law.rate).survival(xa))
-    elif isinstance(law, ExplicitSurvival):
-        out = np.asarray(law.handle(xa))
+    if isinstance(law, ScalarDistribution):
+        out = np.asarray(law.survival(xa))
     elif isinstance(law, InvertedCF):
         out = survival_from_cf(law.psi, xa, law.T, tol)
     elif isinstance(law, DifferenceOfGammas):
-        out = _gamma_difference_survival(law, xa, tol)
+        try:
+            out = Difference(Gamma(law.shape1, law.rate1), Gamma(law.shape2, law.rate2)).survival(xa, tol)
+        except NoClosedForm as e:
+            raise ReferenceNotConverged(str(e)) from e
     elif isinstance(law, ShiftedNegLogBeta):
         out = _neglog_conv_survival(case.joint.B, law, xa, tol)
     else:
         raise TypeError(f"unsupported exact law: {law!r}")
     return out if np.asarray(x).ndim else float(out[0])
-
-
-def _refuse_unconverged(res: QuadResult, x: np.ndarray) -> None:
-    bad = x[~res.converged]
-    if bad.size:
-        shown = ", ".join(f"{v:.6g}" for v in bad[:5]) + (f" and {bad.size - 5} more" if bad.size > 5 else "")
-        raise ReferenceNotConverged(f"reference survival did not converge at x = {shown}")
-
-
-def _gamma_difference_survival(law: DifferenceOfGammas, x: np.ndarray, tol: float) -> np.ndarray:
-    """P{G1 - G2 > x} = P{G2 < -x} + int_{max(0, -x)}^Y S_G1(x + y) f_G2(y) dy.
-
-    The lower limit sits on the kink of S_G1(x + y) at y = -x.  The budget
-    tol S_G1(max(x, 0)) is split in two halves.  Y is where G2's own
-    survival falls to tol/2, so the part dropped beyond it, at most
-    S_G1(max(x, 0)) S_G2(Y), takes one half; the quadrature is run to the
-    other.  S_G1(max(x, 0)) bounds the value from above and is within a
-    constant factor of it, so the far tail keeps its relative digits.
-    """
-    from scipy import special
-
-    g1, g2 = Gamma(law.shape1, law.rate1), Gamma(law.shape2, law.rate2)
-    lo = np.maximum(-x, 0.0)
-    hi = np.maximum(special.gammainccinv(law.shape2, 0.5 * tol) / law.rate2, lo)
-    res = integrate_batch(lambda y, i: g1.survival(x[i, None, None] + y) * g2.pdf(y),
-                          lo, hi, 0.5 * tol * g1.survival(np.maximum(x, 0.0)))
-    _refuse_unconverged(res, x)
-    return special.gammainc(law.shape2, law.rate2 * lo) + res.value
 
 
 def _neglog_conv_survival(B, law: ShiftedNegLogBeta, x: np.ndarray, tol: float) -> np.ndarray:
@@ -371,7 +330,7 @@ def _neglog_conv_survival(B, law: ShiftedNegLogBeta, x: np.ndarray, tol: float) 
         return np.asarray(B.survival(xs[i, None, None] - s)) * density
 
     res = integrate_batch(f, 0.0, ts, tol * np.maximum(head, np.asarray(B.survival(xs))))
-    _refuse_unconverged(res, xs)
+    refuse_unconverged(res, xs, ReferenceNotConverged, "reference survival")
     out[inside] = head + res.value
     return out
 
@@ -421,7 +380,7 @@ class OracleReport:
 
 def _reference_cdf_at(case: ReferenceCase, sorted_vals: np.ndarray) -> np.ndarray:
     law = case.exact_X_law
-    if isinstance(law, (GammaLaw, ExplicitSurvival)):
+    if isinstance(law, ScalarDistribution):
         return 1.0 - np.asarray(reference_survival(case, sorted_vals))
     # convolution laws: dense grid + monotone interpolation
     lo = float(sorted_vals[0]) - 0.5

@@ -22,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["QuadResult", "integrate_finite", "integrate_semi_infinite", "integrate_batch", "frullani", "expm1_over"]
+__all__ = ["QuadResult", "integrate_finite", "integrate_semi_infinite", "integrate_batch", "refuse_unconverged",
+           "frullani", "expm1_over"]
 
 # Kronrod-15 nodes on [-1, 1] (positive half) and weights; the odd-index
 # nodes form the embedded Gauss-7 rule.
@@ -195,6 +196,14 @@ def integrate_batch(f: Callable, lo, hi, tol) -> QuadResult:
             value = value.astype(np.result_type(value, v), copy=False)
             value[rows], err[rows], panels[rows], converged[rows] = v, e, p, ok
     return QuadResult(value, err, panels, converged)
+
+
+def refuse_unconverged(res: QuadResult, x: np.ndarray, error: type, what: str) -> None:
+    """Raise error, naming the first x values, if any member of the batch result res missed its tolerance."""
+    bad = x[~res.converged]
+    if bad.size:
+        shown = ", ".join(f"{v:.6g}" for v in bad[:5]) + (f" and {bad.size - 5} more" if bad.size > 5 else "")
+        raise error(f"{what} did not converge at x = {shown}")
 
 
 def _batch_chunk(f, members, lo, width, tol):

@@ -32,7 +32,6 @@ __all__ = [
     "sample_batch",
     "check_convergence",
     "empirical_tail",
-    "conditional_tail_estimate",
     "estimate_exp_moment",
     "median_of_means",
     "stochastic_upper_bound",
@@ -254,22 +253,6 @@ def median_of_means(values: np.ndarray, n_blocks: int = 32):
     # sqrt(pi/2) inflation: the median of (approximately normal) block means.
     se = float(np.std(means, ddof=1) / math.sqrt(n_blocks) * math.sqrt(math.pi / 2.0))
     return est, se
-
-
-def conditional_tail_estimate(joint: JointInput, cfg: SimConfig, x: float) -> TailEstimate:
-    """Rao-Blackwellized tail estimate E[ S_B(x - A X') ] over fresh (A, X') draws.
-
-    Unbiased for P{X > x}; aggregation is median-of-means over 32 blocks
-    because the summands can be heavy-tailed near the finiteness boundary.
-    """
-    if not joint.independent:
-        raise ValueError("conditional tail estimator requires an independent joint")
-    batch = sample_batch(joint, cfg)
-    rng = _chunk_rng(cfg.master_seed, len(batch.values) // CHUNK + 7)
-    a = joint.A.sample(rng, batch.values.size)
-    s = np.asarray(joint.B.survival(x - a * batch.values), dtype=float)
-    est, se = median_of_means(s)
-    return TailEstimate(float(x), min(max(est, 0.0), 1.0), se, "ConditionalSmoothed")
 
 
 @dataclass

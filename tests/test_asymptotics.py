@@ -8,7 +8,7 @@ from perpetuity.asymptotics import (
     PredictionRefused,
     SmoothedTail,
     _mgf_at_tail_rate,
-    f_function,
+    f_function_vec,
     perpetuity_cf,
     prop_main_constant,
     thm1_constant,
@@ -94,19 +94,21 @@ def test_f_function_at_zero_is_one():
         JointInput(PointMass(0.5), Exponential(1.0)),
         JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0)),
     ):
-        assert f_function(joint, 1.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert f_function_vec(joint, 1.0, np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_f_function_uniform_closed_form():
     joint = JointInput(Uniform(0.0, 1.0), Exponential(1.0))
-    assert f_function(joint, 1.0, 2.0) == pytest.approx((math.e ** 2 - 1.0) / 2.0, rel=1e-10)
-    assert f_function(joint, 1.0, 2.0) == pytest.approx(3.1945280, rel=1e-6)
+    f = f_function_vec(joint, 1.0, np.array([2.0]))[0]
+    assert f == pytest.approx((math.e ** 2 - 1.0) / 2.0, rel=1e-10)
+    assert f == pytest.approx(3.1945280, rel=1e-6)
 
 
 def test_f_function_threshold_form():
     joint = JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0))
-    assert f_function(joint, 1.0, 2.0) == pytest.approx(math.exp(0.6), rel=1e-12)
-    assert f_function(joint, 1.0, 2.0) == pytest.approx(1.8221188, rel=1e-6)
+    f = f_function_vec(joint, 1.0, np.array([2.0]))[0]
+    assert f == pytest.approx(math.exp(0.6), rel=1e-12)
+    assert f == pytest.approx(1.8221188, rel=1e-6)
 
 
 def test_f_function_beta_confluent_matches_quadrature():
@@ -115,7 +117,7 @@ def test_f_function_beta_confluent_matches_quadrature():
 
     for y in (0.5, 2.0):
         direct = integrate_finite(lambda u: math.exp(y * u) * 2.0 * u, 0.0, 1.0, 1e-12)
-        assert f_function(joint, 1.0, y) == pytest.approx(direct.value, rel=1e-9)
+        assert f_function_vec(joint, 1.0, np.array([y]))[0] == pytest.approx(direct.value, rel=1e-9)
 
 
 # -- product-form constant ----------------------------------------------------

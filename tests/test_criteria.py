@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from perpetuity import quadrature
 from perpetuity.criteria import (
     DispatchError,
     dispatch_exp_moment,
@@ -162,6 +163,20 @@ def test_expected_phi_rA_boundary_classification():
     st3, val3 = expected_phi_rA(Uniform(0.0, 0.5), Exponential(1.0), 1.0)
     assert st3 == "finite"
     assert val3 == pytest.approx(2.0 * math.log(2.0), rel=1e-9)
+
+
+def test_unconverged_phi_integral_gives_no_witness(monkeypatch):
+    # finiteness of E phi(rA) is symbolic; an integral that missed its tolerance feeds no number into the trace
+    joint = JointInput(Uniform(0.0, 0.5), Exponential(1.0))
+    before = prop_main_part1(joint, 1.0)
+    assert before.condition_trace[-1].witness == pytest.approx(2.0 * math.log(2.0), rel=1e-9)
+    monkeypatch.setattr(quadrature, "integrate_finite",
+                        lambda *args, **kwargs: quadrature.QuadResult(1.0, 1.0, 10_000, False))
+    assert expected_phi_rA(joint.A, joint.B, 1.0) == ("finite", None)
+    after = prop_main_part1(joint, 1.0)
+    assert after.verdict == before.verdict == "Finite"
+    assert [c.status for c in after.condition_trace] == [c.status for c in before.condition_trace]
+    assert after.condition_trace[-1].witness is None
 
 
 # -- dispatch -----------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
 
+from perpetuity import quadrature
 from perpetuity.distributions import (
     Beta,
     Difference,
@@ -132,6 +134,41 @@ def test_difference_closed_form_vs_quadrature():
         conv = integrate_semi_infinite(
             lambda y: 2.0 * math.exp(-2.0 * y) * math.exp(-max(x + y, 0.0)), 0.0, 1e-11, 2.0)
         assert float(np.asarray(d.survival(x))) == pytest.approx(conv.value, abs=1e-9)
+
+
+def _mp_exp_difference(lam, mu, x):
+    """P{Exp(lam) - Exp(mu) > x} in mpmath."""
+    if x >= 0:
+        return mu / (lam + mu) * mp.exp(-lam * x)
+    return 1 - lam / (lam + mu) * mp.exp(mu * x)
+
+
+def test_difference_of_exponential_mixtures_is_the_double_sum():
+    # the laws of the tail_thm2_remainder golden config
+    left = ((0.5, 1.0), (0.2, 2.0), (0.3, 3.5))
+    right = ((0.3, 2.0), (0.7, 3.0))
+    d = Difference(Mixture(tuple((w, Exponential(r)) for w, r in left)),
+                   Mixture(tuple((w, Exponential(r)) for w, r in right)))
+    xs = np.linspace(-10.0, 10.0, 81)
+    with mp.workdps(30):
+        want = [float(sum(mp.mpf(p) * mp.mpf(q) * _mp_exp_difference(mp.mpf(lam), mp.mpf(mu), mp.mpf(x))
+                          for p, lam in left for q, mu in right)) for x in xs]
+    np.testing.assert_allclose(np.asarray(d.survival(xs)), want, rtol=1e-13, atol=0)
+
+
+def test_difference_of_gammas_keeps_relative_digits_in_the_far_tail():
+    d = Difference(Gamma(1.5, 1.0), Gamma(1.5, 1.0))
+    a = mp.mpf(1.5)
+    f = lambda y: mp.gammainc(a, 50 + y, mp.inf, regularized=True) * y ** (a - 1) * mp.exp(-y) / mp.gamma(a)
+    with mp.workdps(30):
+        exact = float(mp.quad(f, [0, 1, 5, 20, mp.inf]))
+    assert float(d.survival(50.0)) == pytest.approx(exact, rel=1e-6, abs=0.0)
+
+
+def test_unconverged_difference_survival_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_BATCH_MAX_PANELS", 8)
+    with pytest.raises(NoClosedForm, match=r"Difference survival did not converge at x = "):
+        Difference(Gamma(1.5, 1.0), Gamma(1.5, 1.0)).survival(np.linspace(-5.0, 5.0, 11))
 
 
 def test_difference_mgf_and_domain():

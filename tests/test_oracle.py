@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from perpetuity import oracle
+from perpetuity import oracle, quadrature
 from perpetuity.oracle import (
     compare_empirical,
     get_case,
@@ -145,6 +145,12 @@ def test_reference_survival_matches_mpmath(case_id, x):
     assert abs(got - exact) <= 1e-6 * exact
 
 
+def test_e3_exact_law_keeps_its_gamma_parameters():
+    # perfbench builds its Difference(Gamma, Gamma) timing law from these fields
+    law = get_case("E3").exact_X_law
+    assert (law.shape1, law.rate1, law.shape2, law.rate2) == (1.5, 1.0, 1.5, 1.0)
+
+
 def test_inverted_cf_matches_fixed_panels():
     # the fixed 0.08-wide Kronrod panels on (0, 400) that E4 used before, kept as the reference
     law = get_case("E4").exact_X_law
@@ -167,7 +173,7 @@ def test_unconverged_reference_is_refused():
 def test_validate_grid_is_one_batch(case_id, monkeypatch):
     # a per-x loop of adaptive quadratures would call its integrand thousands of times
     calls = []
-    batch = oracle.integrate_batch
+    batch = quadrature.integrate_batch
 
     def counted(f, *args, **kwargs):
         def g(y, i):
@@ -175,6 +181,8 @@ def test_validate_grid_is_one_batch(case_id, monkeypatch):
             return f(y, i)
         return batch(g, *args, **kwargs)
 
+    # E3 integrates through the tree's Difference, which looks the batch up in quadrature; E5 through oracle
+    monkeypatch.setattr(quadrature, "integrate_batch", counted)
     monkeypatch.setattr(oracle, "integrate_batch", counted)
     grid = np.linspace(-8.0, 16.0, 512)
     sv = reference_survival(get_case(case_id), grid, tol=1e-9)

@@ -21,7 +21,6 @@ from perpetuity.simulate import (
     _chunk_rng,
     _simulate_chunk,
     check_convergence,
-    conditional_tail_estimate,
     draw_perpetuity,
     empirical_tail,
     estimate_exp_moment,
@@ -172,32 +171,6 @@ def test_median_of_means_matches_mean_for_light_tails():
     est, se = median_of_means(v)
     assert est == pytest.approx(v.mean(), abs=4.0 * se)
     assert se > 0
-
-
-def test_conditional_estimator_agrees_with_empirical():
-    joint = JointInput(PointMass(0.5), Exponential(1.0))
-    cfg = SimConfig(n_samples=200_000, master_seed=41)
-    batch = sample_batch(joint, cfg)
-    x = float(np.quantile(batch.values, 1.0 - 1e-3))
-    emp = empirical_tail(batch, [x])[0]
-    cond = conditional_tail_estimate(joint, SimConfig(n_samples=200_000, master_seed=42), x)
-    comb = math.hypot(emp.std_err, cond.std_err)
-    assert abs(emp.p_hat - cond.p_hat) <= 3.0 * comb
-    assert cond.method == "ConditionalSmoothed"
-
-
-def test_conditional_estimator_far_left():
-    joint = JointInput(PointMass(0.5), Exponential(1.0))
-    est = conditional_tail_estimate(joint, SimConfig(n_samples=10_000, master_seed=1), -1e6)
-    assert est.p_hat == 1.0
-
-
-def test_conditional_estimator_rejects_dependent_joints():
-    from perpetuity.distributions import ThresholdDependent
-
-    joint = JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0))
-    with pytest.raises(ValueError):
-        conditional_tail_estimate(joint, SimConfig(n_samples=100, master_seed=1), 1.0)
 
 
 def test_exp_moment_at_zero_is_exactly_one():
