@@ -707,27 +707,23 @@ class Difference(ScalarDistribution):
         return a - b
 
     def survival(self, x, tol: float = 1e-10):
-        """P{L - R > x}; all x in one pass.
+        """P{L - R > x}, all x in one pass.
 
-        When both parts are sums of exponentials this is the closed form of
-        `_exp_terms`, of L - R for x >= 0 and of R - L for x < 0.  An atomic
-        right part gives a sum over its atoms.  Otherwise R must have a
-        density, and the value is P{R < y0} + int_{y0}^{Y} S_L(x + y) f_R(y) dy,
-        one `integrate_batch` over the x values.  The lower limit
-        y0 = max(rlo, llo - x) sits on the kink of S_L(x + y).  The budget
-        tol S_L(x + rlo), an upper bound on the value, is split in two
-        halves, so the far tail keeps its relative digits: Y is where S_R
-        falls to tol/2 (or R's upper end), so the part dropped beyond it
-        takes one half, and the quadrature is run to the other.  Raises
-        NoClosedForm, naming the x values, if any integral misses its
-        tolerance.
+        Sums of exponentials on both sides: the closed form of `_exp_terms`,
+        of L - R for x >= 0 and of R - L for x < 0.  An atomic R: a sum over
+        its atoms.  Otherwise R needs a density, and P{R < y0} +
+        int_{y0}^{Y} S_L(x + y) f_R(y) dy is one `integrate_batch` over x, with
+        y0 = max(rlo, llo - x) on the kink.  Of the budget tol S_L(x + rlo), a
+        bound on the value, the part beyond Y, where S_R <= tol/2, takes one
+        half and the quadrature the other, so the far tail keeps its relative
+        digits.  Raises NoClosedForm, naming the x values, if one misses it.
         """
         le, ri = self.left, self.right
         xa = _as_array(x)
         pos, neg = self._exp_terms(), Difference(ri, le)._exp_terms()
         if pos is not None and neg is not None:
-            out = np.where(xa >= 0, _exp_sum(pos, np.maximum(xa, 0.0)), 1.0 - _exp_sum(neg, np.maximum(-xa, 0.0)))
-            return _maybe_scalar(out, x)
+            up, down = (_weighted_sum([(c, Exponential(beta).survival) for c, beta in t]) for t in (pos, neg))
+            return _maybe_scalar(np.where(xa >= 0, up(xa), 1.0 - down(-xa)), x)
         at = ri.atoms()
         if at is not None:
             total = sum(w * np.asarray(le.survival(xa + v)) for v, w in at.items())
@@ -812,27 +808,15 @@ class Difference(ScalarDistribution):
         return (lambda y: np.asarray(neg.survival(-_as_array(y))), hint if hint < _INF else 1.0)
 
 
-def _exp_sum(terms, x):
-    """Sum of c e^{-beta x} over the (c, beta) pairs."""
-    return sum(c * np.exp(-beta * x) for c, beta in terms)
-
-
 def _survival_quantile(d: ScalarDistribution, p: float, y: float) -> float:
-    """A point at or above y where P{D > .} is at most p, within 1e-12 of the first such point past y.
-
-    The bracket is doubled from y, then cut 16-fold per round by one
-    survival call on 15 interior points.
-    """
-    if float(np.asarray(d.survival(y))) <= p:
-        return y
-    step = 1.0
-    while float(np.asarray(d.survival(y + step))) > p:
-        step *= 2.0
-    a, b = y, y + step
+    """A point at or above y where P{D > .} <= p: a bracket doubled from y, cut 16-fold per call for 10 calls."""
+    a, b, step = y, y, 1.0
+    while float(np.asarray(d.survival(b))) > p:
+        a, b, step = b, y + step, 2.0 * step
     for _ in range(10):
         v = np.linspace(a, b, 17)
         k = int(np.argmax(np.asarray(d.survival(v)) <= p))
-        a, b = v[k - 1], v[k]
+        a, b = v[max(k - 1, 0)], v[k]
     return float(b)
 
 
