@@ -809,15 +809,17 @@ class Difference(ScalarDistribution):
 
 
 def _survival_quantile(d: ScalarDistribution, p: float, y: float) -> float:
-    """A point at or above y where P{D > .} <= p: a bracket doubled from y, cut 16-fold per call for 10 calls."""
-    a, b, step = y, y, 1.0
-    while float(np.asarray(d.survival(b))) > p:
-        a, b, step = b, y + step, 2.0 * step
-    for _ in range(10):
-        v = np.linspace(a, b, 17)
-        k = int(np.argmax(np.asarray(d.survival(v)) <= p))
-        a, b = v[max(k - 1, 0)], v[k]
-    return float(b)
+    """A point at or above y where P{D > .} <= p: the first of y + 2^k that is, then four 64-fold cuts of that bracket."""
+    v = y + np.concatenate([[0.0], 2.0 ** np.arange(64)])
+    for _ in range(5):
+        below = np.asarray(d.survival(v)) <= p
+        if not below.any():
+            raise NoClosedForm(f"Difference: the right part's survival stays above {p:g}")
+        k = int(np.argmax(below))
+        if k == 0:
+            return float(v[0])
+        v = np.linspace(v[k - 1], v[k], 65)
+    return float(v[-1])
 
 
 def _weighted_sum(parts) -> Callable:
