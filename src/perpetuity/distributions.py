@@ -716,7 +716,7 @@ class Difference(ScalarDistribution):
         y0 = max(rlo, llo - x) on the kink.  Of the budget tol S_L(x + rlo), a
         bound on the value, the part beyond Y, where S_R <= tol/2, takes one
         half and the quadrature the other, so the far tail keeps its relative
-        digits.  Raises NoClosedForm, naming the x values, if one misses it.
+        digits.  Raises NoClosedForm, naming the x values, if an integral misses it.
         """
         le, ri = self.left, self.right
         xa = _as_array(x)
