@@ -39,7 +39,6 @@ from .simulate import (
     SimConfig,
     TailEstimate,
     check_convergence,
-    draw_perpetuity,
     empirical_tail,
     estimate_exp_moment,
     median_of_means,

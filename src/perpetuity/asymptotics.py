@@ -17,18 +17,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .criteria import FINITE, MomentVerdict, prop_main_part1
 from .distributions import (
-    Beta,
     ExpPlusRemainder,
     GammaLike,
     JointInput,
     NoClosedForm,
-    PointMass,
     ScalarDistribution,
-    Uniform,
     _exp_tilted_survival,
 )
 from .quadrature import QuadResult, expm1_over, integrate_finite, integrate_semi_infinite
@@ -136,8 +132,9 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig,
         tail_of_B = GammaLike(tail.C, 0.0, b)
         trace.append("tail model of B derived from its law")
     A = joint.A
-    if isinstance(A, PointMass) and 0.0 < A.value < 1.0:
-        gamma = A.value
+    atoms = list(A.atoms() or ())
+    if len(atoms) == 1 and 0.0 < atoms[0] < 1.0:
+        gamma = atoms[0]
         prod = 1.0
         s = b * gamma
         for _ in range(100_000):
@@ -169,42 +166,14 @@ def f_function_vec(joint: JointInput, b: float, y: np.ndarray) -> np.ndarray:
     ya = np.asarray(y, dtype=float)
     if not joint.independent:
         return np.exp(b * ya * joint.dependence.zeta1)
-    A = joint.A
-    if isinstance(A, Uniform) and A.lo == 0.0 and A.hi == 1.0:
-        return np.asarray(expm1_over(b, ya)) / b
-    if isinstance(A, Beta):
-        return special.hyp1f1(A.p, A.p + A.q, b * ya)
-    atoms = A.atoms()
-    if atoms is not None:
-        out = np.zeros_like(ya)
-        for v, w in atoms.items():
-            out += w * np.exp(np.minimum(b * v * ya, 700.0))
-        return out
-    return np.array([A.mgf(b * float(v)) for v in ya])
+    return joint.A.mgf(b * ya)
 
 
 def tilted_moment_vec(joint: JointInput, b: float, y: np.ndarray) -> Optional[np.ndarray]:
-    """E_A[A y e^{bAy}], the companion of f_function_vec in the 1/x term.
-
-    Closed forms for Uniform, Beta and atomic A; None otherwise.
-    """
+    """E_A[A y e^{bAy}], the companion of f_function_vec in the 1/x term; None where A's law has no closed form."""
     ya = np.asarray(y, dtype=float)
-    A = joint.A
-    if isinstance(A, Uniform):
-        # A = lo + w U with U ~ Beta(1, 1)
-        lo, w = A.lo, A.hi - A.lo
-        s = b * ya
-        return ya * np.exp(lo * s) * (lo * special.hyp1f1(1.0, 2.0, w * s)
-                                      + 0.5 * w * special.hyp1f1(2.0, 3.0, w * s))
-    if isinstance(A, Beta):
-        return ya * (A.p / (A.p + A.q)) * special.hyp1f1(A.p + 1.0, A.p + A.q + 1.0, b * ya)
-    atoms = A.atoms()
-    if atoms is not None:
-        out = np.zeros_like(ya)
-        for v, w in atoms.items():
-            out += w * v * ya * np.exp(np.minimum(b * v * ya, 700.0))
-        return out
-    return None
+    tilted = joint.A.tilted_mgf(b * ya)
+    return None if tilted is None else ya * tilted
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ import numpy as np
 
 from .distributions import (
     JointInput,
-    Mixture,
     NoClosedForm,
-    PointMass,
     ScalarDistribution,
     structural_flags,
     validate_nondegeneracy,
@@ -453,13 +451,6 @@ def _str_condition(joint: JointInput, r: float, trace: list, name: str) -> Momen
                 total += wi * wj * phi_i * phi_ij
         trace.append(Condition("E e^{rA1(B2+A2B3)} < inf", "satisfied", total))
         return MomentVerdict(FINITE, name, trace)
-    if flags.B_nonneg is True:
-        trace.append(Condition("B >= 0: reduces to E phi(rA1A2) < inf", "satisfied", None))
-        status, val = expected_phi_rA(_product_of_two(A), B, r)
-        trace.append(Condition("E phi(rA1A2) < inf", _tv(None if status == "unknown" else status == "finite"), val))
-        return MomentVerdict(
-            {"finite": FINITE, "infinite": INFINITE, "unknown": INCONCLUSIVE}[status], name, trace
-        )
     if flags.B_nonpos is True:
         trace.append(Condition("B <= 0: reduces to E phi(rA) < inf", "satisfied", None))
         status, val = expected_phi_rA(A, B, r)
@@ -469,17 +460,6 @@ def _str_condition(joint: JointInput, r: float, trace: list, name: str) -> Momen
         )
     trace.append(Condition("E e^{rA1(B2+A2B3)} < inf", "unknown", "no closed form for this A"))
     return MomentVerdict(INCONCLUSIVE, name, trace)
-
-
-def _product_of_two(A: ScalarDistribution):
-    at = A.atoms()
-    if at is None:
-        raise NoClosedForm("product law needs atomic A")
-    out: dict[float, float] = {}
-    for v1, w1 in at.items():
-        for v2, w2 in at.items():
-            out[v1 * v2] = out.get(v1 * v2, 0.0) + w1 * w2
-    return Mixture(tuple((w, PointMass(v)) for v, w in out.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import special
 
+from .quadrature import expm1_over
+
 __all__ = [
     "NoClosedForm",
     "ValidationError",
@@ -85,8 +87,22 @@ class ScalarDistribution:
         return None
 
     def mgf(self, s: float, *, numeric_ok: bool = True) -> float:
-        """E e^{sD}; +inf outside the MGF domain."""
+        """E e^{sD}; +inf outside the MGF domain.
+
+        Uniform, Beta and PointMass, and Mixture, Shifted, Scaled and Negated of them, take an array of s.
+        """
         raise NoClosedForm(type(self).__name__)
+
+    def tilted_mgf(self, s):
+        """E[D e^{sD}], the s-derivative of the MGF, at each s; None without a closed form."""
+        atoms = self.atoms()
+        if atoms is None:
+            return None
+        sa = _as_array(s)
+        out = np.zeros_like(sa)
+        for v, w in atoms.items():
+            out += w * v * np.exp(np.minimum(v * sa, 700.0))
+        return _maybe_scalar(out, s)
 
     def density_left_limit(self, v: float) -> Optional[float]:
         """lim_{u -> v-} of the density of the continuous part; inf if it blows up, None if unknown."""
@@ -166,7 +182,8 @@ class PointMass(ScalarDistribution):
         return _maybe_scalar((_as_array(x) < self.value).astype(float), x)
 
     def mgf(self, s, *, numeric_ok=True):
-        return math.exp(min(s * self.value, 700.0)) if s * self.value < 700 else _INF
+        sv = _as_array(s) * self.value
+        return _maybe_scalar(np.exp(np.where(sv < 700.0, sv, _INF)), s)
 
     def charfn(self, t):
         return complex(np.exp(1j * t * self.value))
@@ -326,7 +343,10 @@ class Beta(ScalarDistribution):
         return _maybe_scalar(np.where(inside, val, 0.0), x)
 
     def mgf(self, s, *, numeric_ok=True):
-        return float(special.hyp1f1(self.p, self.p + self.q, s))
+        return _maybe_scalar(special.hyp1f1(self.p, self.p + self.q, _as_array(s)), s)
+
+    def tilted_mgf(self, s):
+        return _maybe_scalar(self.mean() * special.hyp1f1(self.p + 1.0, self.p + self.q + 1.0, _as_array(s)), s)
 
     def charfn(self, t):
         import mpmath
@@ -392,11 +412,15 @@ class Uniform(ScalarDistribution):
         return _maybe_scalar(np.where(inside, 1.0 / (self.hi - self.lo), 0.0), x)
 
     def mgf(self, s, *, numeric_ok=True):
-        if s == 0:
-            return 1.0
         # expm1 form: stable under cancellation for small s
-        w = s * (self.hi - self.lo)
-        return math.exp(s * self.lo) * math.expm1(w) / w
+        sa, w = _as_array(s), self.hi - self.lo
+        return _maybe_scalar(np.exp(self.lo * sa) * expm1_over(w, sa) / w, s)
+
+    def tilted_mgf(self, s):
+        # D = lo + w U with U ~ Beta(1, 1)
+        sa, lo, w = _as_array(s), self.lo, self.hi - self.lo
+        out = np.exp(lo * sa) * (lo * special.hyp1f1(1.0, 2.0, w * sa) + 0.5 * w * special.hyp1f1(2.0, 3.0, w * sa))
+        return _maybe_scalar(out, s)
 
     def charfn(self, t):
         if t == 0:
@@ -502,8 +526,8 @@ class Shifted(ScalarDistribution):
         return p
 
     def mgf(self, s, *, numeric_ok=True):
-        m = self.inner.mgf(s, numeric_ok=numeric_ok)
-        return m * math.exp(s * self.offset) if m < _INF else _INF
+        m = np.asarray(self.inner.mgf(s, numeric_ok=numeric_ok))
+        return _maybe_scalar(np.where(m < _INF, m * np.exp(_as_array(s) * self.offset), _INF), s)
 
     def charfn(self, t):
         return complex(np.exp(1j * t * self.offset)) * self.inner.charfn(t)
@@ -838,11 +862,14 @@ def _weighted_sum(parts) -> Callable:
 
 
 def _exp_tilted_survival(survival: Callable, s: float) -> Callable:
-    """y -> e^{sy} P{D > y}, formed in log space: e^{sy} alone overflows long before the survival underflows."""
+    """y -> e^{sy} P{D > y}, formed in log space: e^{sy} alone overflows long before the survival underflows.
+
+    Capped at e^700, so that a divergent integrand leaves its quadrature unconverged instead of overflowing.
+    """
 
     def f(y):
         sv = float(np.asarray(survival(y)))
-        return math.exp(s * y + math.log(sv)) if sv > 0.0 else 0.0
+        return math.exp(min(s * y + math.log(sv), 700.0)) if sv > 0.0 else 0.0
 
     return f
 
@@ -1134,7 +1161,7 @@ def validate_nondegeneracy(joint: JointInput) -> NondegeneracyReport:
     elif a0 > 0:
         rep.ok = False
         rep.violations.append("degeneracy: P{A=0} > 0")
-    if isinstance(B, PointMass) and B.value == 0:
+    if B.atom_at(0.0) == 1.0:
         rep.ok = False
         rep.violations.append("degeneracy: P{B=0} = 1")
     a_atoms = A.atoms()

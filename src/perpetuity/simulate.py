@@ -20,6 +20,7 @@ from .distributions import (
     NoClosedForm,
     PointMass,
     ScalarDistribution,
+    _exp_tilted_survival,
     sample_pair,
 )
 
@@ -28,7 +29,6 @@ __all__ = [
     "SampleBatch",
     "TailEstimate",
     "ConvergenceVerdict",
-    "draw_perpetuity",
     "sample_batch",
     "check_convergence",
     "empirical_tail",
@@ -133,21 +133,6 @@ def _simulate_chunk(joint: JointInput, cfg: SimConfig, chunk_index: int, values,
     terms[idx] = k
     truncated[:] = False
     truncated[idx] = True
-
-
-def draw_perpetuity(joint: JointInput, cfg: SimConfig, rng: np.random.Generator):
-    """One draw of the truncated series; returns (value, terms_used, truncated)."""
-    x = 0.0
-    pi = 1.0
-    k = 0
-    while k < cfg.max_terms:
-        k += 1
-        a, b = sample_pair(joint, rng, 1)
-        x += pi * float(b[0])
-        pi *= float(a[0])
-        if abs(pi) <= cfg.truncation_eps:
-            return x, k, False
-    return x, k, True
 
 
 def sample_batch(joint: JointInput, cfg: SimConfig) -> SampleBatch:
@@ -306,22 +291,11 @@ class StochasticBound:
     c_Z: float
 
     def sample_Z(self, B: ScalarDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw Z = (B' + d) 1{B' > q} conditioned on Z >= x0."""
+        """Draw Z = (B' + d) 1{B' > q} conditioned on Z >= x0, by inverting B's survival."""
         m = max(self.q, self.x0 - self.d)
         s_m = float(np.asarray(B.survival(m)))
         u = rng.random(size) * s_m
-        if hasattr(B, "inverse_survival"):
-            return np.asarray(B.inverse_survival(u)) + self.d
-        # generic rejection fallback
-        out = np.empty(size)
-        filled = 0
-        while filled < size:
-            cand = B.sample(rng, size)
-            cand = cand[cand > m]
-            take = min(cand.size, size - filled)
-            out[filled:filled + take] = cand[:take] + self.d
-            filled += take
-        return out
+        return np.asarray(B.inverse_survival(u)) + self.d
 
     def survival_Z(self, B: ScalarDistribution, x):
         m = max(self.q, self.x0 - self.d)
@@ -337,15 +311,7 @@ def _e_exp_bB_above(B: ScalarDistribution, b: float, q: float) -> float:
 
     _, dom_hi = B.mgf_domain()
     hint = max(dom_hi - b, 1e-3)
-
-    def f(y):
-        s = float(np.asarray(B.survival(y)))
-        if s <= 0.0:
-            return 0.0
-        # log-space product: e^{by} alone can overflow where the survival
-        # factor already kills the integrand
-        return math.exp(min(b * y + math.log(s), 700.0))
-
+    f = _exp_tilted_survival(B.survival, b)
     res = integrate_semi_infinite(f, q, 1e-9, hint)
     if not res.converged:
         raise NoClosedForm(f"E e^{{bB}} 1{{B > {q:g}}}: quadrature did not converge")

@@ -61,7 +61,7 @@ def test_K_matches_closed_form_two_rate_mixture():
     )
     closed = ((c1 / 2.0) * (0.5 ** (c1 / 2.0)) * ((4.0 / 3.0) ** (c2 / 2.0))
               / math.gamma(c1 / 2.0 + 1.0))
-    assert closed == pytest.approx(0.2814916601504797, rel=1e-12)
+    assert closed == pytest.approx(0.2814916601504797, rel=1e-12, abs=0.0)
     assert pred.constant == pytest.approx(closed, rel=1e-4)
 
 
@@ -91,6 +91,7 @@ def test_gamma_recurrence_accuracy():
 def test_f_function_at_zero_is_one():
     for joint in (
         JointInput(Uniform(0.0, 1.0), Exponential(1.0)),
+        JointInput(Uniform(0.25, 1.0), Exponential(1.0)),
         JointInput(PointMass(0.5), Exponential(1.0)),
         JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0)),
     ):
@@ -102,6 +103,9 @@ def test_f_function_uniform_closed_form():
     f = f_function_vec(joint, 1.0, np.array([2.0]))[0]
     assert f == pytest.approx((math.e ** 2 - 1.0) / 2.0, rel=1e-10)
     assert f == pytest.approx(3.1945280, rel=1e-6)
+    shifted = JointInput(Uniform(0.25, 1.0), Exponential(1.0))
+    f = f_function_vec(shifted, 1.0, np.array([2.0]))[0]
+    assert f == pytest.approx((math.e ** 2 - math.e ** 0.5) / 1.5, rel=1e-12, abs=0.0)
 
 
 def test_f_function_threshold_form():
@@ -130,6 +134,15 @@ def test_constant_product_closed_form():
     assert pred.form.b == 1.0
     # full tail prediction: constant times the increment tail
     assert pred.form(8.0) == pytest.approx(pred.constant * math.exp(-8.0), rel=1e-9)
+
+
+def test_constant_product_for_a_one_atom_mixture():
+    # constant A read off atoms(), not off the PointMass class
+    cfg = SimConfig(n_samples=1, master_seed=0)
+    point = prop_main_constant(JointInput(PointMass(0.5), Exponential(1.0)), 1.0, cfg)
+    mixed = prop_main_constant(JointInput(Mixture(((1.0, PointMass(0.5)),)), Exponential(1.0)), 1.0, cfg)
+    assert mixed.constant_source == "ClosedForm"
+    assert mixed.constant == point.constant == 3.462746619455061
 
 
 def test_constant_refused_when_composed_moment_diverges():

@@ -129,6 +129,20 @@ tail.b = 1.0
     assert capsys.readouterr().err  # nearest-miss explanations on stderr
 
 
+def test_tail_negative_continuous_coefficient_exits_5(tmp_path, capsys):
+    text = """
+joint.A.variant = uniform
+joint.A.lo = -0.9
+joint.A.hi = -0.1
+joint.B.variant = exponential
+joint.B.rate = 1.0
+tail.b = 1.0
+"""
+    path = write(tmp_path, text)
+    assert run("tail", path, tmp_path / "o") == 5
+    assert "E psi(bA) not established finite: Inconclusive" in capsys.readouterr().err
+
+
 def test_tail_prediction_written(tmp_path):
     path = write(tmp_path, BASE)
     out = tmp_path / "out"

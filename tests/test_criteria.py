@@ -146,6 +146,14 @@ def test_composed_moment_constant_negative_coefficient():
     assert v.verdict == "Finite"
 
 
+def test_composed_moment_negative_continuous_coefficient_is_inconclusive():
+    # A on (-1, 0) with no atoms and B >= 0: no closed form for this A, and no exception
+    joint = JointInput(Uniform(-0.9, -0.1), Exponential(1.0))
+    v = prop_main_part1(joint, 1.0)
+    assert v.verdict == "Inconclusive"
+    assert v.condition_trace[-1].witness == "no closed form for this A"
+
+
 def test_composed_moment_rejects_dependent_joints():
     from perpetuity.distributions import ThresholdDependent
 

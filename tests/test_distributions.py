@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from perpetuity import quadrature
@@ -89,6 +91,50 @@ def test_mgf_midpoint_log_convexity(dist, lo, hi):
         mid = 0.5 * (s1 + s2)
         lhs = math.log(dist.mgf(s1)) + math.log(dist.mgf(s2))
         assert lhs >= 2.0 * math.log(dist.mgf(mid)) - 1e-9
+
+
+# Laws with E[D e^{sD}] in closed form, each of one sign, so that it stays away from 0
+# and a relative test holds; then two more whose MGF also takes an array of s.
+TILTED_LAWS = [
+    Uniform(0.0, 1.0),
+    Uniform(0.25, 1.0),
+    Uniform(-0.9, -0.1),
+    Beta(2.0, 1.0),
+    Beta(0.5, 3.0),
+    PointMass(0.7),
+    PointMass(-1.3),
+    Mixture(((0.3, PointMass(0.2)), (0.7, PointMass(0.9)))),
+]
+ARRAY_MGF_LAWS = TILTED_LAWS + [
+    Mixture(((0.2, PointMass(0.25)), (0.5, Beta(2.0, 1.0)), (0.3, Uniform(-1.0, 2.0)))),
+    Shifted(Scaled(Beta(2.0, 1.0), 0.5), 0.25),
+]
+S_VALUES = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=64)
+
+
+@pytest.mark.parametrize("dist", ARRAY_MGF_LAWS, ids=repr)
+@settings(deadline=None)
+@given(s=S_VALUES)
+def test_array_mgf_is_the_scalar_mgf_to_the_bit(dist, s):
+    got = dist.mgf(np.array(s))
+    want = [dist.mgf(v) for v in s]
+    assert all(type(w) is float for w in want)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("dist", TILTED_LAWS, ids=repr)
+@settings(deadline=None)
+@given(s=S_VALUES)
+def test_tilted_mgf_is_the_derivative_of_the_mgf(dist, s):
+    sa, h = np.array(s), 1e-3
+    central = (dist.mgf(sa + h) - dist.mgf(sa - h)) / (2.0 * h)
+    np.testing.assert_allclose(dist.tilted_mgf(sa), central, rtol=1e-6, atol=0.0)
+    assert type(dist.tilted_mgf(s[0])) is float
+
+
+@pytest.mark.parametrize("dist", ARRAY_MGF_LAWS[len(TILTED_LAWS):] + [Exponential(1.0)], ids=repr)
+def test_tilted_mgf_is_none_without_a_closed_form(dist):
+    assert dist.tilted_mgf(0.5) is None
 
 
 def test_threshold_coefficient_is_a_deterministic_function_of_b():
@@ -266,6 +312,10 @@ def test_nondegeneracy_flags_constant_fixed_point():
     assert not rep3.ok
     ok = validate_nondegeneracy(JointInput(PointMass(0.5), Exponential(1.0)))
     assert ok.ok
+    # B = 0 a.s. written as a one-atom mixture, beside a continuous A
+    rep4 = validate_nondegeneracy(JointInput(Uniform(0.2, 0.8), Mixture(((1.0, PointMass(0.0)),))))
+    assert not rep4.ok
+    assert "degeneracy: P{B=0} = 1" in rep4.violations
 
 
 def test_joint_input_shape_validation():

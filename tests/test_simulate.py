@@ -21,7 +21,6 @@ from perpetuity.simulate import (
     _chunk_rng,
     _simulate_chunk,
     check_convergence,
-    draw_perpetuity,
     empirical_tail,
     estimate_exp_moment,
     median_of_means,
@@ -68,12 +67,9 @@ def test_empty_batch_is_valid():
 
 
 def test_geometric_series_draw():
-    cfg = SimConfig(n_samples=1, master_seed=3)
-    val, terms, truncated = draw_perpetuity(GEOMETRIC, cfg, np.random.default_rng(0))
-    assert val == pytest.approx(2.0, abs=1e-10)
-    assert not truncated
     batch = sample_batch(GEOMETRIC, SimConfig(n_samples=100, master_seed=3))
     assert np.allclose(batch.values, 2.0, atol=1e-10)
+    assert not batch.truncated.any()
 
 
 def test_truncation_cap_is_reported_not_hidden():

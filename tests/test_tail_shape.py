@@ -105,7 +105,7 @@ def test_exp_tail_equals_the_oracle_models(case_id, monkeypatch):
     want, want_left, want_hint = _oracle_thm2_inputs(case_id, monkeypatch)
     B = get_case(case_id).joint.B
     got = B.exp_tail()
-    assert got.C == pytest.approx(want.C, rel=1e-14)
+    assert got.C == pytest.approx(want.C, rel=1e-14, abs=0.0)
     assert got.b == want.b
     assert got.r_decay_margin == want.r_decay_margin
     np.testing.assert_allclose(np.asarray(got.r(GRID)), np.asarray(want.r(GRID)), rtol=1e-14, atol=1e-300)
@@ -124,7 +124,7 @@ def test_left_tail():
     assert E2_B.left_tail() is None
     left, hint = Difference(Exponential(2.0), Exponential(3.0)).left_tail()
     assert hint == 3.0
-    assert left(-1.0) == pytest.approx((2.0 / 5.0) * math.exp(-3.0), rel=1e-12)
+    assert left(-1.0) == pytest.approx((2.0 / 5.0) * math.exp(-3.0), rel=1e-12, abs=0.0)
 
 
 def test_beta_lam():
