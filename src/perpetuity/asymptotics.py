@@ -28,7 +28,7 @@ from .distributions import (
     _exp_tilted_survival,
 )
 from .quadrature import QuadResult, expm1_over, integrate_finite, integrate_semi_infinite
-from .simulate import SimConfig, median_of_means, sample_batch, _chunk_rng, CHUNK
+from .simulate import SampleBatch, SimConfig, median_of_means, sample_batch, _chunk_rng, CHUNK
 
 __all__ = [
     "TailPrediction",
@@ -81,6 +81,8 @@ class TailPrediction:
     theorem: str
     preconditions_trace: list = field(default_factory=list)
     std_err: Optional[float] = None
+    # the perpetuity draws a Monte Carlo constant came from, for `tail --verify` to reuse
+    batch: Optional[SampleBatch] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.constant > 0 and math.isfinite(self.constant)):
@@ -144,7 +146,7 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig,
                 break
             s *= gamma
         trace.append("constant by convergent MGF product")
-        const, se, source = prod, None, "ClosedForm"
+        const, se, source, batch = prod, None, "ClosedForm", None
     else:
         batch = sample_batch(joint, cfg)
         rng = _chunk_rng(cfg.master_seed, batch.values.size // CHUNK + 101)
@@ -154,7 +156,7 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig,
         source = "MonteCarlo"
         trace.append(f"constant by median-of-means over {batch.values.size} draws")
     form = GammaLike(tail_of_B.a * const, tail_of_B.c, tail_of_B.b)
-    return TailPrediction(form, const, source, "PropMainII", trace, std_err=se)
+    return TailPrediction(form, const, source, "PropMainII", trace, std_err=se, batch=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +237,7 @@ def thm1_constant(joint: JointInput, tail_of_B: GammaLike, cfg: SimConfig) -> Ta
         form = GammaLike(tail_of_B.a * const, tail_of_B.c, b)
     else:
         form = SmoothedTail(tail_of_B.a * const, tail_of_B.c, b, const, K1, joint.B.survival)
-    return TailPrediction(form, const, "MonteCarlo", "Thm1", trace, std_err=se / denom)
+    return TailPrediction(form, const, "MonteCarlo", "Thm1", trace, std_err=se / denom, batch=batch)
 
 
 def _one_over_x_term(joint: JointInput, tail_of_B: GammaLike, p1: float, K0: float,

@@ -373,7 +373,8 @@ def cmd_tail(cfg: dict, args) -> int:
 
     _emit_json(prediction.as_dict(), out / "prediction.json", args.no_timestamp)
     if args.verify:
-        batch = sample_batch(joint, sim)
+        # a Monte Carlo route has already drawn this batch from the same `sim`
+        batch = prediction.batch if prediction.batch is not None else sample_batch(joint, sim)
         if "sim.x_grid" in cfg:
             xs = _floats(cfg["sim.x_grid"])
         else:

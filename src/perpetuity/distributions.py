@@ -605,6 +605,9 @@ class Scaled(ScalarDistribution):
 @dataclass(frozen=True)
 class Mixture(ScalarDistribution):
     components: tuple[tuple[float, ScalarDistribution], ...]
+    # inner cumulative weights cum[:-1], and the atom values when every component is a PointMass
+    _cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _atom_values: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = tuple((float(w), d) for w, d in self.components)
@@ -615,16 +618,32 @@ class Mixture(ScalarDistribution):
             raise ValidationError("Mixture weights must lie in (0, 1]")
         if abs(sum(w for w, _ in comps) - 1.0) > 1e-12:
             raise ValidationError("Mixture weights must sum to 1 within 1e-12")
+        object.__setattr__(self, "_cuts", tuple(np.cumsum([w for w, _ in comps])[:-1].tolist()))
+        values = None
+        if all(isinstance(d, PointMass) for _, d in comps):
+            values = np.array([float(d.value) for _, d in comps])
+        object.__setattr__(self, "_atom_values", values)
 
     def sample(self, rng, size):
+        """One uniform u per draw, then comp.sample(rng, n_j) for each component with n_j > 0, in component order.
+
+        Component j is drawn where cum[j-1] <= u < cum[j] (the last one also
+        takes u >= cum[-1] when the weights sum to just under 1).  The index
+        is the count of inner cuts at or below u, which equals
+        min(searchsorted(cum, u, "right"), k - 1) because cum is increasing.
+        A PointMass draws nothing, so an all-atom mixture reads its values
+        off the index.
+        """
         u = rng.random(size)
-        cum = np.cumsum([w for w, _ in self.components])
-        idx = np.searchsorted(cum, u, side="right")
-        idx = np.minimum(idx, len(self.components) - 1)
+        idx = np.zeros(size, dtype=np.min_scalar_type(len(self._cuts)))
+        for c in self._cuts:
+            idx += u >= c
+        if self._atom_values is not None:
+            return self._atom_values[idx]
         out = np.empty(size)
         for j, (_, comp) in enumerate(self.components):
             mask = idx == j
-            n = int(mask.sum())
+            n = np.count_nonzero(mask)
             if n:
                 out[mask] = comp.sample(rng, n)
         return out

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
+CSV_BLOCK = 8192  # values formatted per string in SampleBatch.to_csv
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,10 @@ class SampleBatch:
         with open(path, "w") as fh:
             fh.write(f"# config_hash={config_hash} master_seed={seed}\n")
             fh.write("x\n")
-            np.savetxt(fh, self.values, fmt="%.17g")
+            # the bytes np.savetxt(fmt="%.17g") writes, one string per block and not one per row
+            for lo in range(0, self.values.size, CSV_BLOCK):
+                block = self.values[lo:lo + CSV_BLOCK].tolist()
+                fh.write(("%.17g\n" * len(block)) % tuple(block))
 
 
 @dataclass

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import perpetuity
+import perpetuity.cli as cli_module
+from perpetuity import asymptotics
 from perpetuity.cli import (
     ConfigError,
     config_hash,
@@ -15,6 +17,7 @@ from perpetuity.cli import (
     parse_config_text,
     serialize_config,
 )
+from perpetuity.simulate import sample_batch
 
 BASE = """
 # base experiment
@@ -232,6 +235,111 @@ def test_tail_json_of_other_routes_unchanged(tmp_path, text, expected):
     out = tmp_path / "out"
     assert run("tail", path, out) == 0
     assert (out / "prediction.json").read_text() == expected
+
+
+# --- tail --verify draws once --------------------------------------------------
+
+# perfbench's atoms_exp and unif_polyexp tail configs at 2*10^4 draws, and
+# the files they gave when --verify drew its own second, identical batch
+VERIFY_ATOMS = """
+joint.A.variant = atoms
+joint.A.values = 0.25,0.75
+joint.A.weights = 0.5,0.5
+joint.B.variant = exponential
+joint.B.rate = 1
+tail.b = 1.0
+sim.n_samples = 20000
+sim.seed = 7
+"""
+VERIFY_POLY_EXP = POLY_EXP.replace("sim.seed = 3", "sim.seed = 7")
+ATOMS_PREDICTION = """{
+  "constant": 6.121870756466078,
+  "form": {
+    "a": 6.121870756466078,
+    "b": 1.0,
+    "c": 0.0
+  },
+  "preconditions_trace": [
+    "E psi(bA) finite via E psi(rA) finiteness criterion (a)",
+    "tail model of B derived from its law",
+    "constant by median-of-means over 20000 draws"
+  ],
+  "source": "MonteCarlo",
+  "std_err": 0.3367447669141356,
+  "theorem": "PropMainII"
+}
+"""
+ATOMS_RATIO = """x,predicted,empirical,std_err,ratio
+6.37036662,0.01047777543,0.01,0.000703562364,0.9544010622
+7.633915376,0.002961534754,0.003,0.0003867169508,1.012988281
+8.548652898,0.001186455285,0.001,0.0002234949664,0.8428467658
+9.716413445,0.0003690620703,0.0003,0.0001224561146,0.8128713952
+10.6787229,0.0001409852664,0.0001,7.07071425e-05,0.7092939751
+"""
+POLY_EXP_PREDICTION = """{
+  "K1": 6.189677350404931,
+  "constant": 1.7390116918138703,
+  "form": {
+    "a": 1.7390116918138703,
+    "b": 1.0,
+    "c": -2.0
+  },
+  "preconditions_trace": [
+    "P{A in (0,1]} = 1",
+    "gamma-like tail with c = -2.0 < -1",
+    "P{A=1} = 0, denominator 1",
+    "E log(1+B^-) < inf",
+    "E f(X) by median-of-means over 20000 draws",
+    "1/x term K1 = 6.18968: E[AX e^{bAX}] = 1.35577 (se 0.27), g_A(1-) = 1, E e^{bB} = 2.00006 (err 0.00018, 9 panels)"
+  ],
+  "source": "MonteCarlo",
+  "std_err": 0.03763365259512307,
+  "theorem": "Thm1"
+}
+"""
+POLY_EXP_RATIO = """x,predicted,empirical,std_err,ratio
+3.045230938,0.0109675875,0.01,0.000703562364,0.9117775442
+3.849549291,0.003029723855,0.003,0.0003867169508,0.9901892526
+4.537357737,0.001083056398,0.001,0.0002234949664,0.9233129516
+5.442213225,0.0003000885819,0.0003,0.0001224561146,0.9997048143
+5.790398193,0.0001861502157,0.0001,7.07071425e-05,0.5372005593
+"""
+
+
+def _count_draws(monkeypatch):
+    """Every sample_batch call the CLI makes, directly or through a tail route."""
+    calls = []
+
+    def spy(joint, cfg):
+        calls.append(cfg)
+        return sample_batch(joint, cfg)
+
+    monkeypatch.setattr(cli_module, "sample_batch", spy)
+    monkeypatch.setattr(asymptotics, "sample_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("text,theorem,prediction,ratio", [
+    (VERIFY_ATOMS, "PropMainII", ATOMS_PREDICTION, ATOMS_RATIO),
+    (VERIFY_POLY_EXP, "Thm1", POLY_EXP_PREDICTION, POLY_EXP_RATIO),
+], ids=["atoms_exp", "unif_polyexp"])
+def test_tail_verify_reuses_the_routes_batch(tmp_path, monkeypatch, text, theorem, prediction, ratio):
+    calls = _count_draws(monkeypatch)
+    out = tmp_path / "out"
+    assert run("tail", write(tmp_path, text), out, "--verify") == 0
+    assert len(calls) == 1
+    assert json.loads((out / "prediction.json").read_text())["theorem"] == theorem
+    assert (out / "prediction.json").read_text() == prediction
+    assert (out / "ratio.csv").read_text() == ratio
+
+
+def test_tail_verify_draws_once_on_the_quadrature_route(tmp_path, monkeypatch):
+    calls = _count_draws(monkeypatch)
+    out = tmp_path / "out"
+    assert run("tail", write(tmp_path, POWER_CORRECTED_CFG + "sim.n_samples = 5000\n"), out, "--verify") == 0
+    assert len(calls) == 1
+    assert (out / "prediction.json").read_text() == POWER_CORRECTED_JSON
+    assert len((out / "ratio.csv").read_text().splitlines()) == 6
 
 
 def test_validate_default_passes(tmp_path):

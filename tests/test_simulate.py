@@ -17,6 +17,8 @@ from perpetuity.distributions import (
 )
 from perpetuity.simulate import (
     CHUNK,
+    CSV_BLOCK,
+    SampleBatch,
     SimConfig,
     _chunk_rng,
     _simulate_chunk,
@@ -217,3 +219,21 @@ def test_csv_export_format(tmp_path):
     assert lines[1] == "x"
     assert len(lines) == 10
     assert float(lines[2]) == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("values", [
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 0.1, 2.0 / 3.0, 123456789.0],
+    [],
+    np.random.default_rng(4).standard_normal(CSV_BLOCK + 1) * 1e3,
+    np.random.default_rng(5).exponential(size=2 * CSV_BLOCK),
+], ids=["specials", "empty", "one-past-a-block", "two-blocks"])
+def test_csv_values_are_the_bytes_savetxt_writes(tmp_path, values):
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    batch = SampleBatch(v, np.ones(n, dtype=np.int64), np.zeros(n, dtype=bool), {})
+    path = tmp_path / "samples.csv"
+    batch.to_csv(path, "0123456789abcdef", 5)
+    with open(tmp_path / "savetxt.csv", "w") as fh:
+        fh.write("# config_hash=0123456789abcdef master_seed=5\nx\n")
+        np.savetxt(fh, v, fmt="%.17g")
+    assert path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
