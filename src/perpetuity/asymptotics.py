@@ -138,13 +138,10 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig,
     if len(atoms) == 1 and 0.0 < atoms[0] < 1.0:
         gamma = atoms[0]
         prod = 1.0
-        s = b * gamma
-        for _ in range(100_000):
-            factor = joint.B.mgf(s, numeric_ok=False)
+        for factor in _mgf_at_powers(joint.B, b * gamma, gamma, 100_000):
             prod *= factor
             if abs(factor - 1.0) < 1e-16:
                 break
-            s *= gamma
         trace.append("constant by convergent MGF product")
         const, se, source, batch = prod, None, "ClosedForm", None
     else:
@@ -157,6 +154,19 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig,
         trace.append(f"constant by median-of-means over {batch.values.size} draws")
     form = GammaLike(tail_of_B.a * const, tail_of_B.c, tail_of_B.b)
     return TailPrediction(form, const, source, "PropMainII", trace, std_err=se, batch=batch)
+
+
+def _mgf_at_powers(B: ScalarDistribution, s: float, gamma: float, count: int):
+    """B.mgf at s, s gamma, s gamma^2, ... (count points), one array call per block of doubling size.
+
+    Each point is the running product, the same bits as repeated `s *= gamma`.
+    """
+    size = 64
+    while count > 0:
+        n = min(size, count)
+        ss = np.cumprod(np.concatenate(([s], np.full(n - 1, gamma))))
+        yield from np.asarray(B.mgf(ss, numeric_ok=False), dtype=float).tolist()
+        s, count, size = ss[-1] * gamma, count - n, 2 * size
 
 
 # ---------------------------------------------------------------------------

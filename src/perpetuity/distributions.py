@@ -89,7 +89,7 @@ class ScalarDistribution:
     def mgf(self, s: float, *, numeric_ok: bool = True) -> float:
         """E e^{sD}; +inf outside the MGF domain.
 
-        Uniform, Beta and PointMass, and Mixture, Shifted, Scaled and Negated of them, take an array of s.
+        Every law but SurvivalDefined takes an array of s and then returns an array; a scalar s gives a Python float.
         """
         raise NoClosedForm(type(self).__name__)
 
@@ -232,7 +232,9 @@ class Exponential(ScalarDistribution):
         return _maybe_scalar(np.where(xa < 0, 0.0, self.rate * np.exp(-self.rate * np.maximum(xa, 0.0))), x)
 
     def mgf(self, s, *, numeric_ok=True):
-        return self.rate / (self.rate - s) if s < self.rate else _INF
+        sa = _as_array(s)
+        inside = sa < self.rate
+        return _maybe_scalar(np.where(inside, self.rate / (self.rate - np.where(inside, sa, 0.0)), _INF), s)
 
     def charfn(self, t):
         return self.rate / (self.rate - 1j * t)
@@ -288,9 +290,15 @@ class Gamma(ScalarDistribution):
         return _maybe_scalar(np.where(_as_array(x) <= 0, 0.0, val), x)
 
     def mgf(self, s, *, numeric_ok=True):
+        if np.ndim(s):
+            # point by point: numpy's array power differs from pow in the last bit on some arguments
+            return np.array([self.mgf(v) for v in np.ravel(s).tolist()]).reshape(np.shape(s))
         if s >= self.rate:
             return _INF
-        return (self.rate / (self.rate - s)) ** self.shape
+        try:
+            return (self.rate / (self.rate - s)) ** self.shape
+        except OverflowError:  # a Python float past the double range; a numpy scalar gives inf
+            return _INF
 
     def charfn(self, t):
         return complex(np.exp(self.shape * np.log(self.rate / (self.rate - 1j * t))))
@@ -788,9 +796,9 @@ class Difference(ScalarDistribution):
         return _maybe_scalar(out.reshape(xa.shape), x)
 
     def mgf(self, s, *, numeric_ok=True):
-        ml = self.left.mgf(s, numeric_ok=numeric_ok)
-        mr = self.right.mgf(-s, numeric_ok=numeric_ok)
-        return ml * mr if ml < _INF and mr < _INF else _INF
+        ml = np.asarray(self.left.mgf(s, numeric_ok=numeric_ok))
+        mr = np.asarray(self.right.mgf(-s, numeric_ok=numeric_ok))
+        return _maybe_scalar(np.where((ml < _INF) & (mr < _INF), ml * mr, _INF), s)
 
     def charfn(self, t):
         return self.left.charfn(t) * self.right.charfn(-t)

@@ -8,6 +8,9 @@ panel subdivision, so the error estimate stays coherent.
 once per point, or, with vectorized=True, an array integrand once per
 bisection on both new panels' nodes; for an integrand that gives the
 same bits either way, the two paths return the same result to the bit.
+A scalar integrand receives Python floats, the same bits as numpy's node
+array, so it must not rely on numpy-scalar inf or nan semantics: 1.0/0.0
+raises ZeroDivisionError and an overflowing `**` raises OverflowError.
 `integrate_batch` runs the same rule over a batch of integrals at once,
 one vectorized integrand call per refinement round.
 """
@@ -42,6 +45,8 @@ _WEIGHTS_K = np.concatenate([_WK[:-1], [_WK[-1]], _WK[:-1][::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
 _WEIGHTS_KG = np.stack([_WEIGHTS_K, _WEIGHTS_G])
+_NODE_LIST = _NODES.tolist()
+_UNIT_NODES = 1.0 + _NODES  # the nodes on [0, 2], for the unit panels of `integrate_batch`
 
 
 @dataclass
@@ -56,20 +61,26 @@ class QuadResult:
 
 def _panels(f: Callable, edges, vectorized: bool):
     """Kronrod values and |Kronrod - Gauss| errors, as lists, of f on the panels between consecutive edges."""
-    mid_half = np.array([(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(edges[:-1], edges[1:])])
-    xs = mid_half[:, :1] + mid_half[:, 1:] * _NODES
-    fs = np.asarray(f(xs.ravel()) if vectorized else [f(x) for x in xs.ravel()]).reshape(xs.shape)
+    mid_half = [(float(0.5 * (a + b)), float(0.5 * (b - a))) for a, b in zip(edges[:-1], edges[1:])]
+    if vectorized:
+        mh = np.array(mid_half)
+        fs = np.asarray(f((mh[:, :1] + mh[:, 1:] * _NODES).ravel()))
+    else:
+        # Python-float nodes: the same bits as the array form above, at a fraction of numpy's per-scalar cost
+        fs = np.array([f(m + h * n) for m, h in mid_half for n in _NODE_LIST])
     # sums along the contiguous node axis: the same bits as np.sum on one panel's 15 values alone
-    k, g = mid_half[:, 1] * np.add.reduce(_WEIGHTS_KG * fs[:, None, :], axis=2).T
-    # abs() of a Python complex is hypot, as for a numpy complex scalar; np.abs on a complex array can differ
-    return k.tolist(), [abs(d) for d in (k - g).tolist()]
+    kg = np.add.reduce(_WEIGHTS_KG * fs.reshape(len(mid_half), 1, 15), axis=2).tolist()
+    # scaled in Python: h is real, so each part of h times a complex sum is one rounded product, as in numpy;
+    # abs() of a Python complex is hypot, as for a numpy complex scalar, where np.abs on a complex array can differ
+    k = [h * kk for (_, h), (kk, _) in zip(mid_half, kg)]
+    return k, [abs(v - h * gg) for v, (_, h), (_, gg) in zip(k, mid_half, kg)]
 
 
 def integrate_finite(f: Callable, lo: float, hi: float, tol: float, max_panels: int = 10_000, *,
                      vectorized: bool = False) -> QuadResult:
     """Adaptive integral of f over (lo, hi) to absolute tolerance tol.
 
-    f takes one point and returns a real or complex number.  With
+    f takes one point, a Python float, and returns a real or complex number.  With
     vectorized=True, f instead takes a 1-d array of points and returns
     the values at them, and each bisection evaluates both new panels' 30
     nodes in one call.  The result is then the same to the bit as the
@@ -97,13 +108,14 @@ def integrate_finite(f: Callable, lo: float, hi: float, tol: float, max_panels: 
     return QuadResult(value, float(total_err), n, bool(total_err <= tol))
 
 
-# Probe points per integrand call when the scan for a truncation point is
-# vectorized: about the 30 steps of 1/decay_hint that a tolerance near 1e-10 needs.
+# Probe points per chunk of the scan for a truncation point, and per integrand
+# call when it is vectorized: about the 30 steps of 1/decay_hint that a tolerance near 1e-10 needs.
 _PROBE_CHUNK = 32
 
 
 def _probe_points(y: float, step: float, limit: float):
-    """y, y + step, y + 2 step, ... accumulated one step at a time, up to limit."""
+    """y, y + step, y + 2 step, ... as Python floats, accumulated one step at a time, up to limit."""
+    y, step = float(y), float(step)
     while y <= limit:
         yield y
         y += step
@@ -128,11 +140,10 @@ def integrate_semi_infinite(f: Callable, lo: float, tol: float, decay_hint: floa
     step = 1.0 / decay_hint
     limit = lo + 1e4 / decay_hint
     ys = _probe_points(lo + step, step, limit)
-    if vectorized:
-        chunks = iter(lambda: list(itertools.islice(ys, _PROBE_CHUNK)), [])
-        probes = (p for chunk in chunks for p in zip(chunk, f(np.array(chunk))))
-    else:
-        probes = ((y, f(y)) for y in ys)
+    chunks = iter(lambda: list(itertools.islice(ys, _PROBE_CHUNK)), [])
+    # map is lazy: the scalar scan calls f at no probe beyond the truncation point
+    values = (lambda chunk: f(np.array(chunk))) if vectorized else (lambda chunk: map(f, chunk))
+    probes = itertools.chain.from_iterable(zip(chunk, values(chunk)) for chunk in chunks)
     consecutive = 0
     trunc = None
     for y, fy in probes:
@@ -209,41 +220,51 @@ def refuse_unconverged(res: QuadResult, x: np.ndarray, error: type, what: str) -
 def _batch_chunk(f, members, lo, width, tol):
     """Refine one chunk; yields (member rows, values, errors, panel count, converged) as members retire."""
     a, w = np.zeros(1), np.ones(1)  # left edges and widths of the panels of the unit interval
-    live = np.arange(members.size)  # chunk rows still refining; v and e hold their rows only
-    v, e = _batch_panels(f, members, lo, width, a, w)
+    live = np.arange(members.size)  # chunk rows still refining; v, e and the *_live arrays hold their rows only
+    mem_live, lo_live, width_live, tol_live = members, lo, width, tol
+    v, e = _batch_panels(f, mem_live, lo_live, width_live, a, w)
     while True:
         total = e.sum(axis=1)
-        done = total <= tol[live]
+        done = total <= tol_live
         if done.any():
             yield members[live[done]], v[done].sum(axis=1), total[done], a.size, True
-            live, v, e = live[~done], v[~done], e[~done]
-        if not live.size:
-            return
-        split = np.any(e > tol[live, None] / a.size, axis=0) & (w > _MIN_WIDTH)
-        if not split.any() or a.size + int(split.sum()) > _BATCH_MAX_PANELS:
+            keep = ~done
+            live, v, e = live[keep], v[keep], e[keep]
+            if not live.size:
+                return
+            mem_live, lo_live, width_live, tol_live = members[live], lo[live], width[live], tol[live]
+        split = np.any(e > tol_live[:, None] / a.size, axis=0) & (w > _MIN_WIDTH)
+        n_split = np.count_nonzero(split)
+        if not n_split or a.size + n_split > _BATCH_MAX_PANELS:
             break
-        half = 0.5 * w[split]
-        new_a = np.concatenate([a[split], a[split] + half])
+        stay = ~split
+        a_split, half = a[split], 0.5 * w[split]
+        new_a = np.concatenate([a_split, a_split + half])
         new_w = np.concatenate([half, half])
-        new_v, new_e = _batch_panels(f, members[live], lo[live], width[live], new_a, new_w)
-        a, w = np.concatenate([a[~split], new_a]), np.concatenate([w[~split], new_w])
-        v = np.concatenate([v[:, ~split], new_v], axis=1)
-        e = np.concatenate([e[:, ~split], new_e], axis=1)
+        new_v, new_e = _batch_panels(f, mem_live, lo_live, width_live, new_a, new_w)
+        a, w = np.concatenate([a[stay], new_a]), np.concatenate([w[stay], new_w])
+        v = np.concatenate([v[:, stay], new_v], axis=1)
+        e = np.concatenate([e[:, stay], new_e], axis=1)
     yield members[live], v.sum(axis=1), e.sum(axis=1), a.size, False
 
 
 def _batch_panels(f, members, lo, width, a, w):
     """Kronrod values and |Kronrod - Gauss| errors, (members, panels), of f on the unit panels (a, a + w)."""
     step = max(1, _BATCH_NODES // (15 * members.size))
+    lo3, width3, width2 = lo[:, None, None], width[:, None, None], 0.5 * width[:, None]
     vals, errs = [], []
     for j in range(0, a.size, step):
-        u = a[j:j + step, None] + 0.5 * w[j:j + step, None] * (1.0 + _NODES)
-        y = lo[:, None, None] + width[:, None, None] * u
-        fy = np.broadcast_to(f(y, members), y.shape)
-        half = 0.5 * width[:, None] * w[None, j:j + step]
+        u = a[j:j + step, None] + 0.5 * w[j:j + step, None] * _UNIT_NODES
+        y = lo3 + width3 * u
+        fy = np.asarray(f(y, members))
+        if fy.shape != y.shape:
+            fy = np.broadcast_to(fy, y.shape)
+        half = width2 * w[None, j:j + step]
         k = half * (fy @ _WEIGHTS_K)
         vals.append(k)
         errs.append(np.abs(k - half * (fy @ _WEIGHTS_G)))
+    if len(vals) == 1:
+        return vals[0], errs[0]
     return np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
 
 

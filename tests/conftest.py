@@ -1,4 +1,9 @@
 import numpy as np
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, and keep no example database between runs.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:

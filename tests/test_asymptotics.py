@@ -20,15 +20,18 @@ from perpetuity.distributions import (
     Difference,
     ExpPlusRemainder,
     Exponential,
+    Gamma,
     GammaLike,
     JointInput,
     Mixture,
+    Negated,
     PointMass,
     Shifted,
     SurvivalDefined,
     ThresholdDependent,
     Uniform,
 )
+from perpetuity.oracle import get_case
 from perpetuity.simulate import SimConfig
 
 
@@ -143,6 +146,41 @@ def test_constant_product_for_a_one_atom_mixture():
     mixed = prop_main_constant(JointInput(Mixture(((1.0, PointMass(0.5)),)), Exponential(1.0)), 1.0, cfg)
     assert mixed.constant_source == "ClosedForm"
     assert mixed.constant == point.constant == 3.462746619455061
+
+
+def _scalar_loop_product(B, b, gamma):
+    """The closed product as it was computed before the block form: one scalar B.mgf call per factor."""
+    prod, s = 1.0, b * gamma
+    for _ in range(100_000):
+        factor = B.mgf(s, numeric_ok=False)
+        prod *= factor
+        if abs(factor - 1.0) < 1e-16:
+            break
+        s *= gamma
+    return prod
+
+
+@pytest.mark.parametrize("gamma, B", [
+    (0.5, get_case("E2").joint.B),
+    (0.97, Exponential(1.0)),  # about 1,200 factors: five blocks
+    (0.8, Mixture(((0.5, Exponential(1.0)), (0.5, Gamma(2.0, 3.0))))),
+    (0.6, Mixture(((0.5, Difference(Exponential(1.0), Exponential(4.0))), (0.5, Negated(Exponential(2.0)))))),
+], ids=["E2", "slow-gamma", "faster-gamma-part", "difference-and-negated"])
+def test_closed_product_is_the_scalar_loop_to_the_bit(gamma, B):
+    pred = prop_main_constant(JointInput(PointMass(gamma), B), 1.0, SimConfig(n_samples=1, master_seed=0))
+    assert pred.constant_source == "ClosedForm"
+    assert pred.constant == _scalar_loop_product(B, 1.0, gamma)
+
+
+def test_e2_closed_product_keeps_its_bits():
+    assert get_case("E2").predict().constant == 1.5999999999999988
+
+
+def test_thm1_constant_for_a_difference_coefficient():
+    # Difference.mgf takes an array of s, so f_function_vec reads E e^{bAy} off it at every draw
+    joint = JointInput(Difference(Uniform(0.5, 1.0), Uniform(0.0, 0.4)), _poly_exp_B())
+    pred = thm1_constant(joint, GammaLike(1.0, -2.0, 1.0), SimConfig(n_samples=20_000, master_seed=5))
+    assert pred.constant == pytest.approx(1.8134610953719912, rel=1e-12, abs=0.0)
 
 
 def test_constant_refused_when_composed_moment_diverges():

@@ -94,7 +94,7 @@ def test_mgf_midpoint_log_convexity(dist, lo, hi):
 
 
 # Laws with E[D e^{sD}] in closed form, each of one sign, so that it stays away from 0
-# and a relative test holds; then two more whose MGF also takes an array of s.
+# and a relative test holds; then more whose MGF also takes an array of s.
 TILTED_LAWS = [
     Uniform(0.0, 1.0),
     Uniform(0.25, 1.0),
@@ -108,6 +108,11 @@ TILTED_LAWS = [
 ARRAY_MGF_LAWS = TILTED_LAWS + [
     Mixture(((0.2, PointMass(0.25)), (0.5, Beta(2.0, 1.0)), (0.3, Uniform(-1.0, 2.0)))),
     Shifted(Scaled(Beta(2.0, 1.0), 0.5), 0.25),
+    Exponential(1.5),
+    Negated(Exponential(2.0)),
+    Difference(Exponential(1.0), Exponential(2.0)),
+    Gamma(2.5, 1.0),
+    E2_MIXTURE,
 ]
 S_VALUES = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=64)
 

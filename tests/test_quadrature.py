@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from perpetuity import quadrature
+from perpetuity import asymptotics, criteria, quadrature
+from perpetuity.asymptotics import perpetuity_cf
+from perpetuity.distributions import (
+    Beta,
+    Difference,
+    Exponential,
+    Gamma,
+    JointInput,
+    SurvivalDefined,
+    Uniform,
+)
+from perpetuity.oracle import get_case
 from perpetuity.quadrature import (
     QuadResult,
     expm1_over,
@@ -12,6 +23,7 @@ from perpetuity.quadrature import (
     integrate_finite,
     integrate_semi_infinite,
 )
+from perpetuity.simulate import _e_exp_bB_above
 
 
 def test_polynomial_exactness_on_single_panel():
@@ -223,3 +235,95 @@ def test_refusal_costs_no_more_than_the_scan(vectorized):
     assert not res.converged
     assert math.isnan(res.value) and res.abs_error_estimate == math.inf
     assert f.points <= 10_000 + quadrature._PROBE_CHUNK
+
+
+# -- the scalar path's Python-float nodes give the np.float64 nodes' results --
+
+def _reference_panels(f, edges, vectorized):
+    """`_panels` before the scalar path built Python-float nodes, kept verbatim as the reference."""
+    mid_half = np.array([(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(edges[:-1], edges[1:])])
+    xs = mid_half[:, :1] + mid_half[:, 1:] * quadrature._NODES
+    fs = np.asarray(f(xs.ravel()) if vectorized else [f(x) for x in xs.ravel()]).reshape(xs.shape)
+    k, g = mid_half[:, 1] * np.add.reduce(quadrature._WEIGHTS_KG * fs[:, None, :], axis=2).T
+    return k.tolist(), [abs(d) for d in (k - g).tolist()]
+
+
+def _bits(res):
+    v = complex(res.value)
+    return (type(res.value), v.real.hex(), v.imag.hex(), float(res.abs_error_estimate).hex(),
+            res.subdivisions, res.converged)
+
+
+def _quad_results(panels, run, monkeypatch):
+    """Every QuadResult integrate_finite returns while run() runs on the given _panels, and repr(run())."""
+    seen = []
+    finite = quadrature.integrate_finite
+
+    def spy(*args, **kwargs):
+        seen.append(finite(*args, **kwargs))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_panels", panels)
+        m.setattr(quadrature, "integrate_finite", spy)
+        m.setattr(asymptotics, "integrate_finite", spy)
+        out = repr(run())
+    return [_bits(r) for r in seen], out
+
+
+def _frullani_50():
+    rng = np.random.default_rng(17)
+    out = []
+    for a, b in rng.uniform(0.1, 10.0, size=(50, 2)).tolist():
+        f = lambda y, a=a, b=b: (math.exp(-a * y) - math.exp(-(a + b) * y)) / y if y > 0 else b
+        out.append(integrate_semi_infinite(f, 0.0, 1e-11, a))
+    return out
+
+
+_POLY_EXP = SurvivalDefined(lambda x: (1.0 + np.asarray(x, dtype=float)) ** -2
+                            * np.exp(-np.asarray(x, dtype=float)), 0.0, 1.0, "poly-exp")
+_CRIT5 = JointInput(Beta(1.0, 1.0), Difference(Exponential(2.0), Exponential(1.0)))
+_T_GRID = (0.25, 1.0, 2.5, 6.0)
+
+_SCALAR_CASES = {
+    "frullani-50": _frullani_50,
+    "exp-1j-x": lambda: quadrature.integrate_finite(lambda x: np.exp(1j * x), 0.0, 1.0, 1e-12),
+    "expm1-over": lambda: quadrature.integrate_finite(lambda y: expm1_over(1.0, y), 0.0, 1.0, 1e-12),
+    "exp-tilted-poly-exp": lambda: [_POLY_EXP.mgf(0.3), _POLY_EXP.mgf(0.9), _POLY_EXP.mean(), _POLY_EXP.charfn(2.0),
+                                    _e_exp_bB_above(_POLY_EXP, 0.5, 1.0)],
+    "cf-E1": lambda: [perpetuity_cf(get_case("E1").joint, t) for t in _T_GRID],
+    "cf-crit5": lambda: [perpetuity_cf(_CRIT5, t) for t in _T_GRID],
+    "criteria-phi-rA": lambda: [criteria._integrate_phi_rA(Beta(2.0, 1.0), Exponential(1.0), 0.5),
+                                criteria._integrate_phi_rA(Uniform(0.0, 1.0), Uniform(-1.0, 2.0), 1.5)],
+    # thm2_K's two integrals take the vectorized path, whose sums share the scalar path's code
+    "vectorized-thm2": lambda: [get_case(c).predict() for c in ("E1", "E3", "E4", "E5")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_CASES))
+def test_float_nodes_give_the_reference_results_to_the_bit(name, monkeypatch):
+    run = _SCALAR_CASES[name]
+    want, want_out = _quad_results(_reference_panels, run, monkeypatch)
+    got, got_out = _quad_results(quadrature._panels, run, monkeypatch)
+    assert want
+    assert got == want
+    assert got_out == want_out
+
+
+def test_scalar_integrand_receives_python_floats():
+    seen = set()
+
+    def f(y):
+        seen.add(type(y))
+        return math.exp(-y)
+
+    integrate_finite(f, np.float64(0.0), np.float64(3.0), 1e-13)
+    integrate_semi_infinite(f, np.float64(0.5), 1e-10, np.float64(1.0))
+    assert seen == {float}
+
+
+def test_gamma_mgf_past_the_double_range_is_inf_for_a_python_float():
+    # (rate / (rate - s))^shape overflows near the pole: pow raises where a numpy scalar gives inf,
+    # and the criteria integrand now receives Python floats
+    assert Gamma(40.0, 1.0).mgf(1.0 - 1e-15) == math.inf
+    assert criteria._integrate_phi_rA(Uniform(0.0, 1.0), Gamma(40.0, 1.0), 1.0 - 1e-15) is None
