@@ -380,7 +380,10 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
 # ---------------------------------------------------------------------------
 
 def perpetuity_cf(joint: JointInput, t: float, tol: float = 1e-10) -> complex:
-    """Psi(t) = Phi(t) exp(lam int_0^t (Phi(u)-1)/u du) for A ~ Beta(lam, 1)."""
+    """Psi(t) = Phi(t) exp(lam int_0^t (Phi(u)-1)/u du) for A ~ Beta(lam, 1), Phi(u) = B.mgf(iu).
+
+    The exponent's quadrature asks B's MGF for each bisection's nodes in one array call.
+    """
     if not joint.independent:
         raise PredictionRefused("the CF representation needs independent (A, B)")
     lam = joint.A.beta_lam()
@@ -399,13 +402,13 @@ def perpetuity_cf(joint: JointInput, t: float, tol: float = 1e-10) -> complex:
         mean_b = None
 
     def g(u):
-        if abs(u) < 1e-9:
-            if mean_b is not None:
-                return 1j * mean_b
-            u = 1e-9
-        return (B.charfn(u) - 1.0) / u
+        # (Phi(u) - 1)/u -> i E B as u -> 0; without the mean, Phi is read at u = 1e-9
+        small = np.abs(u) < 1e-9
+        u = np.where(small, 1e-9, u)
+        out = (B.mgf(1j * u) - 1.0) / u
+        return out if mean_b is None else np.where(small, 1j * mean_b, out)
 
-    res = integrate_finite(g, 0.0, t, tol)
+    res = integrate_finite(g, 0.0, t, tol, vectorized=True)
     if not res.converged:
         raise PredictionRefused("CF exponent integral did not converge", quad=res)
     psi = B.charfn(t) * np.exp(lam * res.value)

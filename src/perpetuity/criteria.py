@@ -74,7 +74,7 @@ class MomentVerdict:
 # Closed-form expectation helpers
 # ---------------------------------------------------------------------------
 
-def _mgf_closed(B: ScalarDistribution, s: float):
+def _mgf_closed(B: ScalarDistribution, s):
     """E e^{sB} from the closed-form table, or None when unavailable."""
     try:
         return B.mgf(s, numeric_ok=False)
@@ -108,14 +108,15 @@ def expected_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
     """
     atoms = A.atoms()
     if atoms is not None:
+        # one array MGF call; summed in atom order, it has the bits of a scalar call per atom
+        phi = _mgf_closed(B, r * np.array(list(atoms)))
+        if phi is None:
+            return ("unknown", None)
+        if np.any(phi == _INF):
+            return ("infinite", None)
         total = 0.0
-        for v, w in atoms.items():
-            phi = _mgf_closed(B, r * v)
-            if phi is None:
-                return ("unknown", None)
-            if phi == _INF:
-                return ("infinite", None)
-            total += w * phi
+        for w, p in zip(atoms.values(), phi.tolist()):
+            total += w * p
         return ("finite", total)
     pole = B.mgf_pole()
     if pole is None:

@@ -276,11 +276,11 @@ def frullani(a: float, b: float) -> float:
 
 
 def expm1_over(b: float, y):
-    """(e^{b y} - 1)/y with a three-term series below |b y| < 1e-4."""
-    ya = np.asarray(y, dtype=float)
+    """(e^{b y} - 1)/y, y real or complex, with a three-term series below |b y| < 1e-4; a scalar gives a scalar."""
+    ya = np.asarray(y, dtype=np.result_type(y, float))
     small = np.abs(b * ya) < 1e-4
     safe = np.where(small, 1.0, ya)
     direct = np.expm1(b * safe) / safe
     series = b + b * b * ya / 2.0 + b**3 * ya * ya / 6.0
     out = np.where(small, series, direct)
-    return float(out) if np.isscalar(y) or getattr(y, "ndim", 1) == 0 else out
+    return out.item() if np.isscalar(y) or getattr(y, "ndim", 1) == 0 else out

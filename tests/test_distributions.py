@@ -78,6 +78,42 @@ def test_charfn_bounded_by_one(dist):
         assert abs(dist.charfn(t)) <= 1.0 + 1e-9
 
 
+# points on every VARIANTS law's strip, and each leaf's MGF by an independent formula, in mpmath
+STRIP = [complex(re, im) for re in (-0.5, 0.3, 0.8) for im in (-7.0, -1.5, 0.4, 2.0, 12.0)]
+LEAF_MGF = {
+    "PointMass": lambda s: mp.exp(0.7 * s),
+    "Exponential": lambda s: 1.3 / (1.3 - s),
+    "Gamma": lambda s: (1.0 / (1.0 - s)) ** 2.5,
+    "Beta": lambda s: 2.0 * (mp.exp(s) * (s - 1.0) + 1.0) / s ** 2,  # Beta(2, 1) has density 2u
+    "Uniform": lambda s: (mp.exp(2.0 * s) - mp.exp(-s)) / (3.0 * s),
+}
+
+
+@pytest.mark.parametrize("dist", VARIANTS, ids=lambda d: type(d).__name__)
+def test_mgf_on_the_complex_strip(dist):
+    name = type(dist).__name__
+    for s in STRIP:
+        z = dist.mgf(s)
+        assert type(z) is complex
+        assert dist.mgf(s.conjugate()) == pytest.approx(z.conjugate(), rel=1e-12, abs=0.0)
+        assert abs(z) <= dist.mgf(s.real) * (1.0 + 1e-12)
+        if name in LEAF_MGF:
+            with mp.workdps(30):
+                want = complex(LEAF_MGF[name](mp.mpc(s)))
+            assert z == pytest.approx(want, rel=1e-13, abs=0.0)
+    hi = dist.mgf_domain()[1]
+    if name == "SurvivalDefined":
+        # E e^{sB} = 1 + s int_0^inf e^{sy} (1+y)^{-2} e^{-y} dy
+        s = mp.mpc(0.3, 2.0)
+        with mp.workdps(30):
+            want = complex(1 + s * mp.quad(lambda y: mp.exp((s - 1) * y) / (1 + y) ** 2, [0, 1, 5, 20, 60, mp.inf]))
+        assert dist.mgf(0.3 + 2.0j) == pytest.approx(want, rel=0.0, abs=1e-9)
+        with pytest.raises(NoClosedForm, match="decay_rate"):
+            dist.mgf(complex(hi, 2.0))
+    elif hi < math.inf:
+        assert dist.mgf(complex(hi + 0.5, 2.0)) == math.inf
+
+
 @pytest.mark.parametrize("dist,lo,hi", [
     (Exponential(2.0), -1.0, 1.5),
     (Gamma(2.0, 3.0), -1.0, 2.0),
@@ -119,12 +155,14 @@ S_VALUES = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=64)
 
 @pytest.mark.parametrize("dist", ARRAY_MGF_LAWS, ids=repr)
 @settings(deadline=None)
-@given(s=S_VALUES)
-def test_array_mgf_is_the_scalar_mgf_to_the_bit(dist, s):
-    got = dist.mgf(np.array(s))
-    want = [dist.mgf(v) for v in s]
-    assert all(type(w) is float for w in want)
-    assert got.tobytes() == np.array(want).tobytes()
+@given(s=S_VALUES, im=S_VALUES)
+def test_array_mgf_is_the_scalar_mgf_to_the_bit(dist, s, im):
+    # real s, then complex s with the same real parts
+    for s, kind in ((s, float), ([complex(v, w) for v, w in zip(s, im)], complex)):
+        got = dist.mgf(np.array(s))
+        want = [dist.mgf(v) for v in s]
+        assert all(type(w) is kind for w in want)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("dist", TILTED_LAWS, ids=repr)

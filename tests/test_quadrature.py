@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -100,6 +101,14 @@ def test_expm1_over_vectorized_and_limit():
     assert vals.shape == ys.shape
     assert vals[0] == pytest.approx(1.5, abs=1e-12)
     assert vals[-1] == pytest.approx(math.expm1(4.5) / 3.0, rel=1e-12)
+    # complex y: the series below |b y| < 1e-4 (first two), the direct expm1 form above it
+    zs = np.array([3e-5 + 4e-5j, 1e-9j, 2e-4 + 1e-4j, 0.1 - 2.0j, 3.0 + 7.0j])
+    vals = expm1_over(1.5, zs)
+    assert vals.shape == zs.shape
+    for z, v in zip(zs.tolist(), vals.tolist()):
+        assert type(expm1_over(1.5, z)) is complex
+        assert expm1_over(1.5, z) == pytest.approx(v, rel=1e-15, abs=0.0)
+        assert v == pytest.approx(complex(mp.expm1(1.5 * mp.mpc(z)) / mp.mpc(z)), rel=1e-13, abs=0.0)
 
 
 def test_nonconvergence_is_reported_not_raised():
