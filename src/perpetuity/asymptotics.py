@@ -38,6 +38,7 @@ __all__ = [
     "tilted_moment_vec",
     "SmoothedTail",
     "thm1_constant",
+    "thm2_inputs",
     "thm2_K",
     "perpetuity_cf",
 ]
@@ -112,9 +113,8 @@ class TailPrediction:
 # Constant E psi(bA): tail inherited with a multiplicative constant
 # ---------------------------------------------------------------------------
 
-def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig,
-                       tail_of_B: Optional[GammaLike] = None) -> TailPrediction:
-    """Predicted tail E psi(bA) * P{B > x} for an independent pair.
+def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig) -> TailPrediction:
+    """Predicted tail E psi(bA) * P{B > x} for an independent pair, P{B > x} ~ C e^{-bx} read off `B.exp_tail()`.
 
     Requires a Finite verdict on E psi(bA).  For constant A = gamma the
     constant is the convergent product psi(b gamma) = prod_k phi(b gamma^k);
@@ -125,14 +125,12 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig,
     if verdict.verdict != FINITE:
         raise PredictionRefused(f"E psi(bA) not established finite: {verdict.verdict}", verdict=verdict)
     trace = [f"E psi(bA) finite via {verdict.theorem_used}"]
-    if tail_of_B is None:
-        tail = joint.B.exp_tail()
-        if tail is None:
-            raise PredictionRefused("no tail model supplied and none derivable for B")
-        if tail.b != b:
-            raise PredictionRefused(f"B's exponential tail has rate {tail.b:g}, not b = {b:g}")
-        tail_of_B = GammaLike(tail.C, 0.0, b)
-        trace.append("tail model of B derived from its law")
+    tail = joint.B.exp_tail()
+    if tail is None:
+        raise PredictionRefused("no tail model supplied and none derivable for B")
+    if tail.b != b:
+        raise PredictionRefused(f"B's exponential tail has rate {tail.b:g}, not b = {b:g}")
+    trace.append("tail model of B derived from its law")
     A = joint.A
     atoms = list(A.atoms() or ())
     if len(atoms) == 1 and 0.0 < atoms[0] < 1.0:
@@ -152,7 +150,7 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig,
         const, se = median_of_means(w)
         source = "MonteCarlo"
         trace.append(f"constant by median-of-means over {batch.values.size} draws")
-    form = GammaLike(tail_of_B.a * const, tail_of_B.c, tail_of_B.b)
+    form = GammaLike(tail.C * const, 0.0, b)
     return TailPrediction(form, const, source, "PropMainII", trace, std_err=se, batch=batch)
 
 
@@ -326,6 +324,20 @@ def _mgf_at_tail_rate(B: ScalarDistribution, tail_of_B: GammaLike) -> QuadResult
 # ---------------------------------------------------------------------------
 # K for A ~ Beta(lam, 1) and an exponential-plus-remainder B tail
 # ---------------------------------------------------------------------------
+
+def thm2_inputs(joint: JointInput) -> tuple[float, ExpPlusRemainder, Optional[Callable], Optional[float]]:
+    """(lam, tail, left_tail, left_decay_hint) for thm2_K, asked of the tree; refused, naming the first missing one."""
+    lam = joint.A.beta_lam() if joint.independent else None
+    if lam is None:
+        raise PredictionRefused("A is not a Beta(lam, 1) law")
+    tail = joint.B.exp_tail()
+    if tail is None:
+        raise PredictionRefused("no exponential-plus-remainder model for B")
+    left = joint.B.left_tail()
+    if left is None:
+        raise PredictionRefused("no left-tail handle for B")
+    return (lam, tail, *left)
+
 
 def thm2_K(lam: float, tail: ExpPlusRemainder,
            left_tail: Optional[Callable] = None,

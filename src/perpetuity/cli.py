@@ -33,6 +33,7 @@ from .asymptotics import (
     perpetuity_cf,
     prop_main_constant,
     thm1_constant,
+    thm2_inputs,
     thm2_K,
 )
 from .criteria import DispatchError, dispatch_exp_moment
@@ -332,19 +333,10 @@ def cmd_tail(cfg: dict, args) -> int:
     misses = []
     prediction = None
 
-    lam = joint.A.beta_lam() if joint.independent else None
-    if lam is not None:
-        tail, left = joint.B.exp_tail(), joint.B.left_tail()
-        if tail is None or left is None:
-            what = "exponential-plus-remainder model" if tail is None else "left-tail handle"
-            misses.append(f"power-corrected route: no {what} for B")
-        else:
-            try:
-                prediction = thm2_K(lam, tail, left_tail=left[0], left_decay_hint=left[1])
-            except PredictionRefused as e:
-                misses.append(f"power-corrected route: {e}")
-    else:
-        misses.append("power-corrected route: A is not a Beta(lam, 1) law")
+    try:
+        prediction = thm2_K(*thm2_inputs(joint))
+    except PredictionRefused as e:
+        misses.append(f"power-corrected route: {e}")
 
     sim = build_sim_config(cfg, args.seed)
     if prediction is None and joint.independent:

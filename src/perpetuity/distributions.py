@@ -240,6 +240,8 @@ class Exponential(ScalarDistribution):
         return _maybe_scalar(np.where(xa < 0, 0.0, self.rate * np.exp(-self.rate * np.maximum(xa, 0.0))), x)
 
     def mgf(self, s, *, numeric_ok=True):
+        if type(s) is float:  # the array path's bits, without numpy's per-call cost
+            return self.rate / (self.rate - s) if s < self.rate else _INF
         sa = _as_s(s)
         inside = sa.real < self.rate
         return _maybe_scalar(np.where(inside, self.rate / (self.rate - np.where(inside, sa, 0.0)), _INF), s)
@@ -763,8 +765,8 @@ class Difference(ScalarDistribution):
         xa = _as_array(x)
         pos, neg = self._exp_terms(), Difference(ri, le)._exp_terms()
         if pos is not None and neg is not None:
-            up, down = (_weighted_sum([(c, Exponential(beta).survival) for c, beta in t]) for t in (pos, neg))
-            return _maybe_scalar(np.where(xa >= 0, up(xa), 1.0 - down(-xa)), x)
+            up, down = _exp_sum(pos), _exp_sum(neg)
+            return _maybe_scalar(np.where(xa >= 0, up(np.maximum(xa, 0.0)), 1.0 - down(np.maximum(-xa, 0.0))), x)
         at = ri.atoms()
         if at is not None:
             total = sum(w * np.asarray(le.survival(xa + v)) for v, w in at.items())
@@ -830,8 +832,7 @@ class Difference(ScalarDistribution):
         if inner is None or terms is None:
             return None
         b = inner.b
-        rest = [(c, Exponential(beta).survival) for c, beta in terms if beta > b]
-        return ExpPlusRemainder(inner.C * self.right.mgf(-b), b, _weighted_sum(rest),
+        return ExpPlusRemainder(inner.C * self.right.mgf(-b), b, _exp_sum([t for t in terms if t[1] > b]),
                                 r_decay_margin=inner.r_decay_margin)
 
     def _exp_terms(self):
@@ -843,8 +844,9 @@ class Difference(ScalarDistribution):
 
     def left_tail(self):
         neg = Difference(self.right, self.left)
-        hint = self.right.mgf_domain()[1]
-        return (lambda y: np.asarray(neg.survival(-_as_array(y))), hint if hint < _INF else 1.0)
+        terms, hint = neg._exp_terms(), self.right.mgf_domain()[1]
+        down = neg.survival if terms is None else _exp_sum(terms)
+        return (lambda y: np.asarray(down(-_as_array(y))), hint if hint < _INF else 1.0)
 
 
 def _survival_quantile(d: ScalarDistribution, p: float, y: float) -> float:
@@ -874,6 +876,22 @@ def _weighted_sum(parts) -> Callable:
         return out
 
     return r
+
+
+def _exp_sum(terms) -> Callable:
+    """x -> sum of c e^{-beta x} over the (c, beta) pairs, for x >= 0 (the bits of the Exponential survivals' sum
+    there); the zero remainder when there are none."""
+    if not terms:
+        return _no_remainder
+
+    def f(x):
+        xa = _as_array(x)
+        out = np.zeros_like(xa)
+        for c, beta in terms:
+            out += c * np.exp(-beta * xa)
+        return out
+
+    return f
 
 
 def _exp_tilted_survival(survival: Callable, s) -> Callable:

@@ -1,8 +1,11 @@
 """Registry of closed-form reference cases.
 
-Five input pairs whose perpetuity law is known exactly.  Tests and the
-validate command treat these survival functions as ground truth for the
-simulation engine and the asymptote constants.
+Five input pairs whose perpetuity law is known exactly.  A case states
+its joint, its exact law and the closed-form asymptote of P{X > x};
+`predict()` asks the tree for the tail inputs and hands them to the
+asymptotics module, so the closed forms stay independent references.
+Tests and the validate command treat these survival functions as ground
+truth for the simulation engine and the asymptote constants.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import asymptotics
 from .distributions import (
     Beta,
     Difference,
-    ExpPlusRemainder,
     Exponential,
     GammaLike,
     Gamma,
@@ -77,8 +80,14 @@ class ReferenceCase:
     joint: JointInput
     exact_X_law: object
     asymptote: GammaLike          # closed-form predicted P{X>x} coefficient
-    predict: Callable             # () -> TailPrediction through the asymptotics module
     label: str = ""
+
+    def predict(self) -> asymptotics.TailPrediction:
+        """The asymptotics module's prediction from the tree's tail inputs: thm2_K for A ~ Beta(lam, 1), else E psi(bA)."""
+        if self.joint.A.beta_lam() is not None:
+            return asymptotics.thm2_K(*asymptotics.thm2_inputs(self.joint))
+        b = self.joint.B.mgf_domain()[1]
+        return asymptotics.prop_main_constant(self.joint, b, SimConfig(n_samples=1, master_seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -87,19 +96,11 @@ class ReferenceCase:
 
 def _case_E1() -> ReferenceCase:
     c, b = 2.0, 1.0
-    joint = JointInput(Beta(c, 1.0), Exponential(b))
-
-    def predict():
-        from .asymptotics import thm2_K
-
-        return thm2_K(c, ExpPlusRemainder(C=1.0, b=b))
-
     return ReferenceCase(
         id="E1",
-        joint=joint,
+        joint=JointInput(Beta(c, 1.0), Exponential(b)),
         exact_X_law=Gamma(c + 1.0, b),
         asymptote=GammaLike(b ** c / math.gamma(c + 1.0), c, b),
-        predict=predict,
         label="gamma identity for a beta coefficient and exponential increment",
     )
 
@@ -112,61 +113,33 @@ def _case_E2() -> ReferenceCase:
         (gamma_ * (1 - gamma_), Negated(Exponential(b))),
         ((1 - gamma_) ** 2, Difference(Exponential(a), Exponential(b))),
     ))
-    joint = JointInput(PointMass(gamma_), B)
-
-    def predict():
-        from .asymptotics import prop_main_constant
-
-        cfg = SimConfig(n_samples=1, master_seed=0)
-        return prop_main_constant(joint, a, cfg)
-
     return ReferenceCase(
         id="E2-const-A",
-        joint=joint,
+        joint=JointInput(PointMass(gamma_), B),
         exact_X_law=Difference(Exponential(a), Exponential(b)),
         asymptote=GammaLike(b / (a + b), 0.0, a),
-        predict=predict,
         label="constant coefficient, increment a four-part exponential mixture",
     )
 
 
 def _case_E3() -> ReferenceCase:
     lam, a, b = 1.0, 1.0, 1.0
-    joint = JointInput(Beta(lam, 1.0), Difference(Exponential(b), Exponential(a)))
     shape = a * lam / (a + b) + 1.0
-
-    def predict():
-        from .asymptotics import thm2_K
-
-        return thm2_K(
-            lam,
-            ExpPlusRemainder(C=a / (a + b), b=b),
-            left_tail=lambda y: (b / (a + b)) * np.exp(a * np.asarray(y, dtype=float)),
-            left_decay_hint=a,
-        )
-
     K = (a / (a + b)) ** (b * lam / (a + b) + 1.0) * b ** (a * lam / (a + b)) / math.gamma(shape)
     return ReferenceCase(
         id="E3-gamma-diff",
-        joint=joint,
+        joint=JointInput(Beta(lam, 1.0), Difference(Exponential(b), Exponential(a))),
         exact_X_law=DifferenceOfGammas(shape, b, b * lam / (a + b) + 1.0, a),
         asymptote=GammaLike(K, a * lam / (a + b), b),
-        predict=predict,
         label="difference of two gamma laws",
     )
 
 
-def _e4_params():
+def _case_E4() -> ReferenceCase:
     p, b, c, lam = 0.5, 1.0, 2.0, 1.0
     c1 = p * p + 2 * p * (1 - p) * c / (b + c)
     c2 = (1 - p) ** 2 + 2 * p * (1 - p) * b / (b + c)
-    return p, b, c, lam, c1, c2
-
-
-def _case_E4() -> ReferenceCase:
-    p, b, c, lam, c1, c2 = _e4_params()
     M = Mixture(((p, Exponential(b)), (1 - p, Exponential(c))))
-    joint = JointInput(Beta(lam, 1.0), Difference(M, M))
 
     def psi(t):
         t2 = np.asarray(t, dtype=float) ** 2
@@ -174,30 +147,13 @@ def _case_E4() -> ReferenceCase:
         fc = c * c / (c * c + t2)
         return (c1 * fb + c2 * fc) * fb ** (c1 * lam / 2) * fc ** (c2 * lam / 2)
 
-    def predict():
-        from .asymptotics import thm2_K
-
-        return thm2_K(
-            lam,
-            ExpPlusRemainder(
-                C=c1 / 2,
-                b=b,
-                r=lambda y: (c2 / 2) * np.exp(-c * np.asarray(y, dtype=float)),
-                r_decay_margin=c - b,
-            ),
-            left_tail=lambda y: 0.5 * (c1 * np.exp(b * np.asarray(y, dtype=float))
-                                       + c2 * np.exp(c * np.asarray(y, dtype=float))),
-            left_decay_hint=b,
-        )
-
     K = (c1 / 2) * 0.5 ** (c1 * lam / 2) * (c * c / (c * c - b * b)) ** (c2 * lam / 2) \
         * b ** (lam * c1 / 2) / math.gamma(c1 * lam / 2 + 1.0)
     return ReferenceCase(
         id="E4-mixture",
-        joint=joint,
+        joint=JointInput(Beta(lam, 1.0), Difference(M, M)),
         exact_X_law=InvertedCF(psi, 400.0, "symmetric six-fold convolution"),
         asymptote=GammaLike(K, c1 * lam / 2, b),
-        predict=predict,
         label="two-sided increment from a two-rate exponential mixture",
     )
 
@@ -207,28 +163,12 @@ def _case_E5() -> ReferenceCase:
     # survival e^{-bx}(1 - e^{-lam x}) / (lam (1 - e^{-x})) collapses to a
     # two-rate exponential mixture at these parameters
     B = Mixture(((0.5, Exponential(1.0)), (0.5, Exponential(2.0))))
-    joint = JointInput(Beta(lam, 1.0), B)
-
-    def predict():
-        from .asymptotics import thm2_K
-
-        return thm2_K(
-            lam,
-            ExpPlusRemainder(
-                C=1.0 / lam,
-                b=b,
-                r=lambda y: 0.5 * np.exp(-2.0 * np.asarray(y, dtype=float)),
-                r_decay_margin=1.0,
-            ),
-        )
-
     K = 1.0 / (lam * math.exp(math.lgamma(b) + math.lgamma(lam) - math.lgamma(b + lam)))
     return ReferenceCase(
         id="E5-neglog",
-        joint=joint,
+        joint=JointInput(Beta(lam, 1.0), B),
         exact_X_law=ShiftedNegLogBeta(b, lam),
         asymptote=GammaLike(K, 1.0, b),
-        predict=predict,
         label="negative log of a beta variable plus the increment",
     )
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from perpetuity.asymptotics import (
     perpetuity_cf,
     prop_main_constant,
     thm1_constant,
+    thm2_inputs,
     thm2_K,
     tilted_moment_vec,
 )
@@ -172,8 +174,25 @@ def test_closed_product_is_the_scalar_loop_to_the_bit(gamma, B):
     assert pred.constant == _scalar_loop_product(B, 1.0, gamma)
 
 
-def test_e2_closed_product_keeps_its_bits():
-    assert get_case("E2").predict().constant == 1.5999999999999988
+# the bits each registry case predicted when its tail inputs were written out by hand
+_PREDICTED_CONSTANTS = {"E1": 0.5, "E2": 1.5999999999999988, "E3": 0.3989422804014378,
+                        "E4": 0.2814916601504804, "E5": 0.999999999999974}
+
+
+@pytest.mark.parametrize("case_id", sorted(_PREDICTED_CONSTANTS))
+def test_predicted_constant_keeps_its_bits(case_id):
+    assert get_case(case_id).predict().constant == _PREDICTED_CONSTANTS[case_id]
+
+
+@pytest.mark.parametrize("joint, miss", [
+    (JointInput(Uniform(0.0, 0.5), Exponential(1.0)), "A is not a Beta(lam, 1) law"),
+    (JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0)), "A is not a Beta(lam, 1) law"),
+    (JointInput(Beta(2.0, 1.0), Gamma(2.0, 1.0)), "no exponential-plus-remainder model for B"),
+    (JointInput(Beta(2.0, 1.0), get_case("E2").joint.B), "no left-tail handle for B"),
+], ids=["uniform-A", "threshold", "gamma-B", "two-sided-mixture-B"])
+def test_thm2_inputs_refuse_with_the_missing_input(joint, miss):
+    with pytest.raises(PredictionRefused, match=re.escape(miss) + "$"):
+        thm2_inputs(joint)
 
 
 def test_thm1_constant_for_a_difference_coefficient():

@@ -129,7 +129,12 @@ tail.b = 1.0
 """
     path = write(tmp_path, text)
     assert run("tail", path, tmp_path / "o") == 5
-    assert capsys.readouterr().err  # nearest-miss explanations on stderr
+    assert capsys.readouterr().err.splitlines() == [
+        "no applicable tail theorem; nearest misses:",
+        "  - power-corrected route: A is not a Beta(lam, 1) law",
+        "  - inherited-tail route: no tail model supplied and none derivable for B",
+        "  - smoothed-tail route: missing required key: tail.a",
+    ]
 
 
 def test_tail_negative_continuous_coefficient_exits_5(tmp_path, capsys):
@@ -143,7 +148,9 @@ tail.b = 1.0
 """
     path = write(tmp_path, text)
     assert run("tail", path, tmp_path / "o") == 5
-    assert "E psi(bA) not established finite: Inconclusive" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert "  - power-corrected route: A is not a Beta(lam, 1) law" in err
+    assert "  - inherited-tail route: E psi(bA) not established finite: Inconclusive" in err
 
 
 def test_tail_prediction_written(tmp_path):

@@ -6,10 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from perpetuity import asymptotics
 from perpetuity.distributions import (
     Beta,
     Difference,
+    ExpPlusRemainder,
     Exponential,
     Gamma,
     Mixture,
@@ -87,22 +87,28 @@ def test_exp_tail_answers_none_where_r_is_not_stated(name):
     assert SILENT[name].exp_tail() is None
 
 
-def _oracle_thm2_inputs(case_id, monkeypatch):
-    """(tail, left_tail, left_decay_hint) that a registry case hands to thm2_K."""
-    seen = {}
-
-    def capture(lam, tail, left_tail=None, left_decay_hint=None, tol=1e-10):
-        seen.update(tail=tail, left=left_tail, hint=left_decay_hint)
-        return None
-
-    monkeypatch.setattr(asymptotics, "thm2_K", capture)
-    get_case(case_id).predict()
-    return seen["tail"], seen["left"], seen["hint"]
+def _oracle_thm2_inputs(case_id):
+    """(tail, left_tail, left_decay_hint) of a registry case's B, written out by hand from its closed form."""
+    if case_id == "E1":  # Exp(1)
+        return ExpPlusRemainder(C=1.0, b=1.0), None, None
+    if case_id == "E3":  # Exp(1) - Exp(1)
+        return ExpPlusRemainder(C=0.5, b=1.0), lambda y: 0.5 * np.exp(np.asarray(y, dtype=float)), 1.0
+    if case_id == "E4":  # M - M, M = (Exp(1) + Exp(2)) / 2
+        b, c = 1.0, 2.0
+        c1 = 0.25 + 0.5 * c / (b + c)
+        c2 = 0.25 + 0.5 * b / (b + c)
+        tail = ExpPlusRemainder(C=c1 / 2, b=b, r=lambda y: (c2 / 2) * np.exp(-c * np.asarray(y, dtype=float)),
+                                r_decay_margin=c - b)
+        return tail, (lambda y: 0.5 * (c1 * np.exp(b * np.asarray(y, dtype=float))
+                                       + c2 * np.exp(c * np.asarray(y, dtype=float)))), b
+    # E5: (Exp(1) + Exp(2)) / 2
+    return ExpPlusRemainder(C=0.5, b=1.0, r=lambda y: 0.5 * np.exp(-2.0 * np.asarray(y, dtype=float)),
+                            r_decay_margin=1.0), None, None
 
 
 @pytest.mark.parametrize("case_id", ["E1", "E3", "E4", "E5"])
-def test_exp_tail_equals_the_oracle_models(case_id, monkeypatch):
-    want, want_left, want_hint = _oracle_thm2_inputs(case_id, monkeypatch)
+def test_exp_tail_equals_the_oracle_models(case_id):
+    want, want_left, want_hint = _oracle_thm2_inputs(case_id)
     B = get_case(case_id).joint.B
     got = B.exp_tail()
     assert got.C == pytest.approx(want.C, rel=1e-14, abs=0.0)
