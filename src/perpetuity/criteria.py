@@ -1,8 +1,17 @@
 """Sound symbolic verdicts on finiteness of exponential moments of X.
 
-Every Finite/Infinite answer is backed by a symbolically established
-hypothesis set of the matched criterion; anything that cannot be
-established from the structural description alone yields Inconclusive.
+Each criterion evaluates and traces its hypotheses once, each as holding,
+failing or unknown from the structural description alone.  One rule,
+`_decide`, turns them into the verdict: Finite when every condition holds,
+Infinite when one fails, Inconclusive otherwise.  Four exits depart from it
+on purpose, and each stays in its criterion:
+  - positive A: the boundary E e^{rB} 1{A=1} = 1 is Infinite;
+  - positive A: a failed condition gives Infinite only when the support of
+    X is unbounded to the right, Inconclusive otherwise;
+  - unit atoms of A: an unknown unit-atom inequality gives Inconclusive
+    before the bound P{|A|<=1}=1 is read;
+  - all-negative A: the status of E e^{r(B1 + A1 B2)} decides before the
+    bound P{|A|<=1}=1.
 The closed-form expectation table covers point masses, finite mixtures,
 exponential/gamma laws and the negation/scaling/shift closure; numbers
 outside the table are never "decided" numerically.
@@ -82,22 +91,14 @@ def _mgf_closed(B: ScalarDistribution, s):
         return None
 
 
-def _weighted_mgf_at_atom(joint: JointInput, r: float, a_val: float):
-    """E e^{rB} 1{A = a_val}: (status, value)."""
-    A = joint.A_marginal()
-    p = A.atom_at(a_val)
-    if p is None:
-        return ("unknown", None)
+def _weighted_mgf_at_atom(joint: JointInput, phi, a_val: float):
+    """E e^{rB} 1{A = a_val} from phi = E e^{rB}: inf, or None when it cannot be derived."""
+    p = joint.A_marginal().atom_at(a_val)
     if p == 0.0:
-        return ("ok", 0.0)
-    if not joint.independent:
-        return ("unknown", None)
-    phi = _mgf_closed(joint.B, r)
-    if phi is None:
-        return ("unknown", None)
-    if phi == _INF:
-        return ("infinite", _INF)
-    return ("ok", phi * p)
+        return 0.0
+    if p is None or phi is None or not joint.independent:
+        return None
+    return phi * p  # inf when phi is
 
 
 def expected_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
@@ -124,7 +125,7 @@ def expected_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
     s_max, order = pole
     if s_max == _INF:
         return ("finite", _integrate_phi_rA(A, B, r))
-    a_lo, a_hi = A.support()
+    a_hi = A.support()[1]
     if r * a_hi < s_max:
         return ("finite", _integrate_phi_rA(A, B, r))
     if r * a_hi > s_max:
@@ -157,21 +158,40 @@ def _integrate_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
 
 def prove_support_unbounded(joint: JointInput):
     """Right-unboundedness of the law of X for simple cases; None if undecided."""
-    flags = structural_flags(joint)
-    b_lo, b_hi = joint.B.support()
-    A = joint.A_marginal()
-    a_lo, a_hi = A.support()
-    if b_hi == _INF and flags.A_positive:
+    if not structural_flags(joint).A_positive:
+        return None
+    if joint.B.support()[1] == _INF:
         return True
-    if b_hi < _INF and flags.A_positive and a_hi < 1.0:
-        return False
-    return None
+    return False if joint.A_marginal().support()[1] < 1.0 else None
 
 
-def _tv(cond: bool | None) -> str:
-    if cond is None:
-        return "unknown"
-    return "satisfied" if cond else "violated"
+def _check(name: str, holds, witness=None) -> Condition:
+    """The traced condition: holds is True, False, or None when it cannot be established."""
+    return Condition(name, "unknown" if holds is None else "satisfied" if holds else "violated", witness)
+
+
+def _decide(conds, name: str, trace: list) -> MomentVerdict:
+    """The verdict rule: Finite when every condition holds, Infinite when one fails, else Inconclusive."""
+    known = [bool(c) for c in conds if c is not None]
+    if not all(known):
+        return MomentVerdict(INFINITE, name, trace)
+    return MomentVerdict(FINITE if len(known) == len(conds) else INCONCLUSIVE, name, trace)
+
+
+def _require_nondegenerate(joint: JointInput):
+    rep = validate_nondegeneracy(joint)
+    if not rep.ok:
+        raise DispatchError("degenerate input: " + "; ".join(rep.violations))
+
+
+def _b_moment_conditions(joint: JointInput, r: float, trace: list):
+    """Trace E e^{rB} < inf and E e^{rB} 1{A=1} < 1; return their truth values and E e^{rB} 1{A=1}."""
+    phi = _mgf_closed(joint.B, r)
+    w = _weighted_mgf_at_atom(joint, phi, 1.0)
+    c_mgf = None if phi is None else phi < _INF
+    c_atom = None if w is None else w < 1.0
+    trace += [_check("E e^{rB} < inf", c_mgf, phi), _check("E e^{rB} 1{A=1} < 1", c_atom, w)]
+    return c_mgf, c_atom, w
 
 
 # ---------------------------------------------------------------------------
@@ -188,42 +208,25 @@ def exp_moment_criterion_positiveA(joint: JointInput, r: float, support_unbounde
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    flags = structural_flags(joint)
-    if flags.A_positive is not True:
+    if structural_flags(joint).A_positive is not True:
         raise DispatchError("A is not a.s. positive; use the mixed-sign criterion")
-    rep = validate_nondegeneracy(joint)
-    if not rep.ok:
-        raise DispatchError("degenerate input: " + "; ".join(rep.violations))
+    _require_nondegenerate(joint)
     if support_unbounded_right is None:
         support_unbounded_right = prove_support_unbounded(joint)
 
-    A = joint.A_marginal()
-    _, a_hi = A.support()
-    trace = []
+    name = "positive-A exponential-moment criterion"
+    a_hi = joint.A_marginal().support()[1]
     c_bound = a_hi <= 1.0
-    trace.append(Condition("P{A<=1}=1", _tv(c_bound), a_hi))
-    phi = _mgf_closed(joint.B, r)
-    c_mgf = None if phi is None else (phi < _INF)
-    trace.append(Condition("E e^{rB} < inf", _tv(c_mgf), phi))
-    status, wval = _weighted_mgf_at_atom(joint, r, 1.0)
-    if status == "ok":
-        c_atom = wval < 1.0
-        boundary = wval == 1.0
-    elif status == "infinite":
-        c_atom, boundary = False, False
-    else:
-        c_atom, boundary = None, False
-    trace.append(Condition("E e^{rB} 1{A=1} < 1", _tv(c_atom), wval))
-    trace.append(Condition("support of X unbounded right", _tv(support_unbounded_right), None))
-
-    if c_bound is True and c_mgf is True and c_atom is True:
-        return MomentVerdict(FINITE, "positive-A exponential-moment criterion", trace)
-    if boundary and c_bound is True:
-        trace.append(Condition("boundary E e^{rB}1{A=1} = 1 forces divergence", "satisfied", wval))
-        return MomentVerdict(INFINITE, "positive-A exponential-moment criterion", trace)
-    if support_unbounded_right is True and (c_bound is False or c_mgf is False or c_atom is False):
-        return MomentVerdict(INFINITE, "positive-A exponential-moment criterion", trace)
-    return MomentVerdict(INCONCLUSIVE, "positive-A exponential-moment criterion", trace)
+    trace = [_check("P{A<=1}=1", c_bound, a_hi)]
+    c_mgf, c_atom, w = _b_moment_conditions(joint, r, trace)
+    trace.append(_check("support of X unbounded right", support_unbounded_right))
+    if w == 1.0 and c_bound:
+        trace.append(_check("boundary E e^{rB}1{A=1} = 1 forces divergence", True, w))
+        return MomentVerdict(INFINITE, name, trace)
+    conds = [c_bound, c_mgf, c_atom]
+    if False in conds and support_unbounded_right is not True:  # a failed condition refutes only an unbounded X
+        return MomentVerdict(INCONCLUSIVE, name, trace)
+    return _decide(conds, name, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -244,56 +247,33 @@ def exp_moment_criterion_mixedA(joint: JointInput, r: float) -> MomentVerdict:
         raise DispatchError("P{A=-1} > 0: use the two-sided (absolute-moment) criterion")
     if flags.p_A_neg is None or flags.p_A_neg == 0:
         raise DispatchError("A has no negative part; use the positive-A criterion")
-    rep = validate_nondegeneracy(joint)
-    if not rep.ok:
-        raise DispatchError("degenerate input: " + "; ".join(rep.violations))
+    _require_nondegenerate(joint)
 
     A = joint.A_marginal()
-    trace = [Condition("P{|A|<=1}=1", _tv(flags.A_bounded_by_1), A.support())]
+    trace = [_check("P{|A|<=1}=1", flags.A_bounded_by_1, A.support())]
     name = "mixed-sign-A exponential-moment criterion"
 
     if flags.p_A_neg == 1.0:
         # all-negative A: need E e^{r(B1 + A1 B2)} = phi(r) * E phi(rA) < inf
-        if not joint.independent:
-            trace.append(Condition("E e^{r(B1+A1B2)} < inf", "unknown", "dependent joint"))
-            return MomentVerdict(INCONCLUSIVE, name, trace)
         phi = _mgf_closed(joint.B, r)
-        if phi is None:
-            trace.append(Condition("E e^{r(B1+A1B2)} < inf", "unknown", None))
-            return MomentVerdict(INCONCLUSIVE, name, trace)
-        if phi == _INF:
-            trace.append(Condition("E e^{r(B1+A1B2)} < inf", "violated", "E e^{rB} = inf"))
-            return MomentVerdict(INFINITE, name, trace)
-        status, val = expected_phi_rA(A, joint.B, r)
-        comp = None if status == "unknown" else (phi * val if (status == "finite" and val is not None) else None)
-        trace.append(Condition("E e^{r(B1+A1B2)} < inf", _tv(None if status == "unknown" else status == "finite"), comp))
-        if status == "unknown":
-            return MomentVerdict(INCONCLUSIVE, name, trace)
-        if status == "infinite":
-            return MomentVerdict(INFINITE, name, trace)
-        if flags.A_bounded_by_1 is True:
-            return MomentVerdict(FINITE, name, trace)
-        if flags.A_bounded_by_1 is False:
-            return MomentVerdict(INFINITE, name, trace)
-        return MomentVerdict(INCONCLUSIVE, name, trace)
+        c, witness = None, None
+        if not joint.independent:
+            witness = "dependent joint"
+        elif phi == _INF:
+            c, witness = False, "E e^{rB} = inf"
+        elif phi is not None:
+            c, val = _phi_rA(A, joint.B, r)
+            witness = phi * val if c and val is not None else None
+        trace.append(_check("E e^{r(B1+A1B2)} < inf", c, witness))
+        # this condition decides before the bound: an unknown one leaves P{|A|<=1}=1 unread
+        return _decide([c, flags.A_bounded_by_1] if c else [c], name, trace)
 
+    trace.append(_check("B >= 0 a.s.", flags.B_nonneg, joint.B.support()))
     if flags.B_nonneg is not True:
-        trace.append(Condition("B >= 0 a.s.", _tv(flags.B_nonneg), joint.B.support()))
-        trace.append(Condition("criterion open for two-sided B with mixed-sign A", "unknown", None))
-        return MomentVerdict(INCONCLUSIVE, name, trace)
-    trace.append(Condition("B >= 0 a.s.", "satisfied", joint.B.support()))
-    phi = _mgf_closed(joint.B, r)
-    c_mgf = None if phi is None else phi < _INF
-    trace.append(Condition("E e^{rB} < inf", _tv(c_mgf), phi))
-    status, wval = _weighted_mgf_at_atom(joint, r, 1.0)
-    c_atom = None if status == "unknown" else (status == "ok" and wval < 1.0)
-    trace.append(Condition("E e^{rB} 1{A=1} < 1", _tv(c_atom), wval))
-    conds = [flags.A_bounded_by_1, c_mgf, c_atom]
-    if all(c is True for c in conds):
-        return MomentVerdict(FINITE, name, trace)
-    if any(c is False for c in conds):
-        return MomentVerdict(INFINITE, name, trace)
-    return MomentVerdict(INCONCLUSIVE, name, trace)
+        trace.append(_check("criterion open for two-sided B with mixed-sign A", None))
+        return _decide([None], name, trace)
+    c_mgf, c_atom, _ = _b_moment_conditions(joint, r, trace)
+    return _decide([flags.A_bounded_by_1, c_mgf, c_atom], name, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -312,49 +292,37 @@ def two_sided_criterion_AIR(joint: JointInput, r: float) -> MomentVerdict:
     if r <= 0:
         raise ValueError("r must be positive")
     flags = structural_flags(joint)
-    rep = validate_nondegeneracy(joint)
-    if not rep.ok:
-        raise DispatchError("degenerate input: " + "; ".join(rep.violations))
+    _require_nondegenerate(joint)
     p1 = flags.p_A_eq_1
     pm1 = flags.p_A_eq_neg1
     if p1 is None or pm1 is None:
         raise DispatchError("atoms of A at +-1 not symbolically derivable")
-    p_abs1 = p1 + pm1
-    A = joint.A_marginal()
-    a_lo, a_hi = A.support()
+    a_lo, a_hi = joint.A_marginal().support()
     phi_p = _mgf_closed(joint.B, r)
     phi_m = _mgf_closed(joint.B, -r)
     c_absB = None if phi_p is None or phi_m is None else (phi_p < _INF and phi_m < _INF)
     name = "two-sided absolute-moment criterion"
-    trace = [Condition("E e^{r|B|} < inf", _tv(c_absB), (phi_m, phi_p))]
+    trace = [_check("E e^{r|B|} < inf", c_absB, (phi_m, phi_p))]
 
-    if p_abs1 == 0.0:
+    if p1 + pm1 == 0.0:
         c_contr = -1.0 <= a_lo and a_hi <= 1.0
-        trace.insert(0, Condition("P{|A|<1}=1", _tv(c_contr), (a_lo, a_hi)))
-        if c_contr and c_absB is True:
-            return MomentVerdict(FINITE, name + " (no unit atoms)", trace)
-        if c_contr is False or c_absB is False:
-            return MomentVerdict(INFINITE, name + " (no unit atoms)", trace)
-        return MomentVerdict(INCONCLUSIVE, name + " (no unit atoms)", trace)
+        trace.insert(0, _check("P{|A|<1}=1", c_contr, (a_lo, a_hi)))
+        return _decide([c_contr, c_absB], name + " (no unit atoms)", trace)
+    if not 0.0 < p1 + pm1 < 1.0:
+        raise DispatchError("P{|A|=1} = 1 is outside both parts of the two-sided criterion")
 
-    if 0.0 < p_abs1 < 1.0:
-        trace.insert(0, Condition("P{|A|<=1}=1", _tv(flags.A_bounded_by_1), (a_lo, a_hi)))
-        if not joint.independent or phi_p is None or phi_m is None:
-            trace.append(Condition("unit-atom inequality", "unknown", None))
-            return MomentVerdict(INCONCLUSIVE, name + " (unit atoms)", trace)
-        if phi_p == _INF or phi_m == _INF:
-            return MomentVerdict(INFINITE, name + " (unit atoms)", trace)
+    name += " (unit atoms)"
+    trace.insert(0, _check("P{|A|<=1}=1", flags.A_bounded_by_1, (a_lo, a_hi)))
+    if not joint.independent or c_absB is None:  # an unknown inequality decides before the bound
+        trace.append(_check("unit-atom inequality", None))
+        return MomentVerdict(INCONCLUSIVE, name, trace)
+    conds = [flags.A_bounded_by_1, c_absB]
+    if c_absB:
         c_ineq, witness = _unit_atom_inequality(phi_m, phi_p, p1, pm1)
-        trace.append(Condition("E e^{-rB}1{A=-1} E e^{rB}1{A=-1} < (1-E e^{-rB}1{A=1})(1-E e^{rB}1{A=1})",
-                               _tv(c_ineq), witness))
-        conds = [flags.A_bounded_by_1, c_absB, c_ineq]
-        if all(c is True for c in conds):
-            return MomentVerdict(FINITE, name + " (unit atoms)", trace)
-        if any(c is False for c in conds):
-            return MomentVerdict(INFINITE, name + " (unit atoms)", trace)
-        return MomentVerdict(INCONCLUSIVE, name + " (unit atoms)", trace)
-
-    raise DispatchError("P{|A|=1} = 1 is outside both parts of the two-sided criterion")
+        trace.append(_check("E e^{-rB}1{A=-1} E e^{rB}1{A=-1} < (1-E e^{-rB}1{A=1})(1-E e^{rB}1{A=1})",
+                            c_ineq, witness))
+        conds.append(c_ineq)
+    return _decide(conds, name, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -375,92 +343,64 @@ def prop_main_part1(joint: JointInput, r: float) -> MomentVerdict:
     pm1 = flags.p_A_eq_neg1
     if p1 is not None and p1 >= 1.0:
         raise DispatchError("P{A=1} must be < 1")
-    name = "E psi(rA) finiteness criterion"
-    trace = []
 
-    in_01 = flags.A_positive is True and a_hi <= 1.0
-    in_m10 = a_hi <= 0.0 and a_lo >= -1.0 and (pm1 == 0.0) and (A.atom_at(0.0) == 0.0)
-    case_c = (
-        pm1 is not None and 0.0 < pm1 < 1.0
-        and flags.A_bounded_by_1 is True and A.atom_at(0.0) == 0.0
-    )
-
-    if in_01:
-        trace.append(Condition("P{A in (0,1]}=1", "satisfied", (a_lo, a_hi)))
+    if flags.A_positive is True and a_hi <= 1.0:
+        part, trace = "(a)", [_check("P{A in (0,1]}=1", True, (a_lo, a_hi))]
         if p1 == 0.0:
-            status, val = expected_phi_rA(A, B, r)
-            trace.append(Condition("E phi(rA) < inf", _tv(None if status == "unknown" else status == "finite"), val))
-            if status == "finite":
-                return MomentVerdict(FINITE, name + " (a)", trace)
-            if status == "infinite":
-                return MomentVerdict(INFINITE, name + " (a)", trace)
-            return MomentVerdict(INCONCLUSIVE, name + " (a)", trace)
-        phi = _mgf_closed(B, r)
-        if phi is None or p1 is None:
-            trace.append(Condition("phi(r) P{A=1} < 1", "unknown", None))
-            return MomentVerdict(INCONCLUSIVE, name + " (a)", trace)
-        ok = phi < _INF and phi * p1 < 1.0
-        trace.append(Condition("phi(r) P{A=1} < 1", _tv(ok), None if phi == _INF else phi * p1))
-        return MomentVerdict(FINITE if ok else INFINITE, name + " (a)", trace)
-
-    if in_m10:
-        trace.append(Condition("P{A in (-1,0)}=1", "satisfied", (a_lo, a_hi)))
-        return _str_condition(joint, r, trace, name + " (b)")
-
-    if case_c:
-        trace.append(Condition("P{|A| in (0,1]}=1 and P{A=-1} in (0,1)", "satisfied", pm1))
+            label, (c, witness) = "E phi(rA) < inf", _phi_rA(A, B, r)
+        else:
+            phi = _mgf_closed(B, r)
+            c = None if phi is None or p1 is None else (phi < _INF and phi * p1 < 1.0)
+            label, witness = "phi(r) P{A=1} < 1", None if c is None or phi == _INF else phi * p1
+    elif a_hi <= 0.0 and a_lo >= -1.0 and pm1 == 0.0 and A.atom_at(0.0) == 0.0:
+        part, trace = "(b)", [_check("P{A in (-1,0)}=1", True, (a_lo, a_hi))]
+        label, c, witness = _str_condition(A, B, r, flags.B_nonpos, trace)
+    elif pm1 is not None and 0.0 < pm1 < 1.0 and flags.A_bounded_by_1 is True and A.atom_at(0.0) == 0.0:
+        part, trace = "(c)", [_check("P{|A| in (0,1]}=1 and P{A=-1} in (0,1)", True, pm1)]
         phi_p = _mgf_closed(B, r)
         phi_m = _mgf_closed(B, -r)
         if phi_p is None or phi_m is None:
-            trace.append(Condition("unit-atom inequality", "unknown", None))
-            return MomentVerdict(INCONCLUSIVE, name + " (c)", trace)
-        if phi_p == _INF or phi_m == _INF:
-            trace.append(Condition("E e^{rB}, E e^{-rB} < inf", "violated", None))
-            return MomentVerdict(INFINITE, name + " (c)", trace)
-        ok, witness = _unit_atom_inequality(phi_m, phi_p, p1, pm1)
-        trace.append(Condition("E e^{-rB} E e^{rB} P{A=-1}^2 < (1-E e^{-rB}P{A=1})(1-E e^{rB}P{A=1})",
-                               _tv(ok), witness))
-        return MomentVerdict(FINITE if ok else INFINITE, name + " (c)", trace)
+            label, c, witness = "unit-atom inequality", None, None
+        elif phi_p == _INF or phi_m == _INF:
+            label, c, witness = "E e^{rB}, E e^{-rB} < inf", False, None
+        else:
+            label = "E e^{-rB} E e^{rB} P{A=-1}^2 < (1-E e^{-rB}P{A=1})(1-E e^{rB}P{A=1})"
+            c, witness = _unit_atom_inequality(phi_m, phi_p, p1, pm1)
+    else:
+        raise DispatchError("A matches none of the cases (0,1], (-1,0), or |A| in (0,1] with an atom at -1")
+    trace.append(_check(label, c, witness))
+    return _decide([c], f"E psi(rA) finiteness criterion {part}", trace)
 
-    raise DispatchError("A matches none of the cases (0,1], (-1,0), or |A| in (0,1] with an atom at -1")
+
+def _phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
+    """(E phi(rA) < inf as a truth value, E phi(rA))."""
+    status, val = expected_phi_rA(A, B, r)
+    return {"finite": True, "infinite": False, "unknown": None}[status], val
 
 
-def _str_condition(joint: JointInput, r: float, trace: list, name: str) -> MomentVerdict:
-    """E e^{r A1 (B2 + A2 B3)} < inf for P{A in (-1,0)} = 1."""
-    A, B = joint.A, joint.B
-    flags = structural_flags(joint)
+def _str_condition(A: ScalarDistribution, B: ScalarDistribution, r: float, B_nonpos, trace: list):
+    """(label, truth value, witness) of E e^{r A1 (B2 + A2 B3)} < inf for P{A in (-1,0)} = 1."""
+    label = "E e^{rA1(B2+A2B3)} < inf"
     atoms = A.atoms()
     if atoms is not None:
         # E prod over pair draws: sum_{i,j} w_i w_j phi(r a_i) phi(r a_i a_j)
         total = 0.0
         for ai, wi in atoms.items():
-            phi_i = _mgf_closed(B, r * ai)
-            if phi_i is None:
-                trace.append(Condition("E e^{rA1(B2+A2B3)} < inf", "unknown", None))
-                return MomentVerdict(INCONCLUSIVE, name, trace)
-            if phi_i == _INF:
-                trace.append(Condition("E e^{rA1(B2+A2B3)} < inf", "violated", f"phi({r * ai:g}) = inf"))
-                return MomentVerdict(INFINITE, name, trace)
-            for aj, wj in atoms.items():
-                phi_ij = _mgf_closed(B, r * ai * aj)
-                if phi_ij is None:
-                    trace.append(Condition("E e^{rA1(B2+A2B3)} < inf", "unknown", None))
-                    return MomentVerdict(INCONCLUSIVE, name, trace)
-                if phi_ij == _INF:
-                    trace.append(Condition("E e^{rA1(B2+A2B3)} < inf", "violated", f"phi({r * ai * aj:g}) = inf"))
-                    return MomentVerdict(INFINITE, name, trace)
-                total += wi * wj * phi_i * phi_ij
-        trace.append(Condition("E e^{rA1(B2+A2B3)} < inf", "satisfied", total))
-        return MomentVerdict(FINITE, name, trace)
-    if flags.B_nonpos is True:
-        trace.append(Condition("B <= 0: reduces to E phi(rA) < inf", "satisfied", None))
-        status, val = expected_phi_rA(A, B, r)
-        trace.append(Condition("E phi(rA) < inf", _tv(None if status == "unknown" else status == "finite"), val))
-        return MomentVerdict(
-            {"finite": FINITE, "infinite": INFINITE, "unknown": INCONCLUSIVE}[status], name, trace
-        )
-    trace.append(Condition("E e^{rA1(B2+A2B3)} < inf", "unknown", "no closed form for this A"))
-    return MomentVerdict(INCONCLUSIVE, name, trace)
+            phis = []
+            for s in [r * ai] + [r * ai * aj for aj in atoms]:
+                phi = _mgf_closed(B, s)
+                if phi is None:
+                    return label, None, None
+                if phi == _INF:
+                    return label, False, f"phi({s:g}) = inf"
+                phis.append(phi)
+            for wj, phi_ij in zip(atoms.values(), phis[1:]):
+                total += wi * wj * phis[0] * phi_ij
+        return label, True, total
+    if B_nonpos is True:
+        trace.append(_check("B <= 0: reduces to E phi(rA) < inf", True))
+        return ("E phi(rA) < inf", *_phi_rA(A, B, r))
+    return label, None, "no closed form for this A"
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +416,4 @@ def dispatch_exp_moment(joint: JointInput, r: float, support_unbounded_right=Non
         return two_sided_criterion_AIR(joint, r)
     if flags.p_A_neg is not None and flags.p_A_neg > 0:
         return exp_moment_criterion_mixedA(joint, r)
-    return MomentVerdict(
-        INCONCLUSIVE,
-        "none",
-        [Condition("sign structure of A", "unknown", "no applicable criterion")],
-    )
+    return _decide([None], "none", [_check("sign structure of A", None, "no applicable criterion")])

@@ -707,7 +707,8 @@ class Mixture(ScalarDistribution):
         return sum(w * p for (w, _), p in zip(self.components, parts))
 
     def exp_tail(self):
-        """Components at rate b add w C and w r; a faster one (MGF finite past b) adds its whole survival to r."""
+        """Components at rate b add w C and w r; a faster one (MGF finite past b) adds its whole survival to r,
+        as its closed exponential sum when it has one."""
         b = self.mgf_domain()[1]
         if b == _INF:
             return None
@@ -717,7 +718,8 @@ class Mixture(ScalarDistribution):
             if hi > b:
                 if _prob_gt(d, 0.0) is None:
                     return None
-                parts.append((w, d.survival))
+                terms = d._exp_terms()
+                parts.append((w, d.survival if terms is None else _exp_sum(terms)))
                 if hi < _INF:
                     margins.append(hi - b)
                 continue
@@ -843,8 +845,11 @@ class Difference(ScalarDistribution):
         return tuple((c * self.right.mgf(-beta), beta) for c, beta in terms)
 
     def left_tail(self):
+        """None when R - L has no closed form and L neither atoms nor a density, where its survival would raise."""
         neg = Difference(self.right, self.left)
         terms, hint = neg._exp_terms(), self.right.mgf_domain()[1]
+        if terms is None and self.left.atoms() is None and self.left.pdf(0.0) is None:
+            return None
         down = neg.survival if terms is None else _exp_sum(terms)
         return (lambda y: np.asarray(down(-_as_array(y))), hint if hint < _INF else 1.0)
 

@@ -310,10 +310,21 @@ class StochasticBound:
 
 
 def _e_exp_bB_above(B: ScalarDistribution, b: float, q: float) -> float:
-    """E e^{bB} 1{B > q} for laws with a survival handle, by quadrature."""
+    """E e^{bB} 1{B > q} for laws with a survival handle, by quadrature.
+
+    Refused at once (NoClosedForm) for b past the end of B's MGF domain, as
+    SurvivalDefined.mgf refuses there: the survival handle cannot decide such
+    a b, and the quadrature would only find out after ~3e5 evaluations.  At b
+    equal to the end the value is low while the quadrature reports
+    convergence: for the poly-exp law at its decay rate 1 it reads 1/(1+q) +
+    1/(1+q)^2 - 1.364e-3 for q = 1 to 3, because S underflows near y = 745
+    and the lost int (1+y)^{-2} dy, about 1/746, is not counted.
+    """
     from .quadrature import integrate_semi_infinite
 
     _, dom_hi = B.mgf_domain()
+    if b > dom_hi:
+        raise NoClosedForm(f"E e^{{bB}} 1{{B > {q:g}}}: b = {b:g} is past the MGF domain's end {dom_hi:g}")
     hint = max(dom_hi - b, 1e-3)
     f = _exp_tilted_survival(B.survival, b)
     res = integrate_semi_infinite(f, q, 1e-9, hint)

@@ -189,7 +189,10 @@ def test_predicted_constant_keeps_its_bits(case_id):
     (JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0)), "A is not a Beta(lam, 1) law"),
     (JointInput(Beta(2.0, 1.0), Gamma(2.0, 1.0)), "no exponential-plus-remainder model for B"),
     (JointInput(Beta(2.0, 1.0), get_case("E2").joint.B), "no left-tail handle for B"),
-], ids=["uniform-A", "threshold", "gamma-B", "two-sided-mixture-B"])
+    # P{B <= y} would need the survival of 1.5 - (MIX_12 - Exp(4)), whose right part has neither atoms nor a density
+    (JointInput(Beta(2.0, 1.0), Difference(Difference(Mixture(((0.5, Exponential(1.0)), (0.5, Exponential(2.0)))),
+                                                      Exponential(4.0)), PointMass(1.5))), "no left-tail handle for B"),
+], ids=["uniform-A", "threshold", "gamma-B", "two-sided-mixture-B", "nested-difference-B"])
 def test_thm2_inputs_refuse_with_the_missing_input(joint, miss):
     with pytest.raises(PredictionRefused, match=re.escape(miss) + "$"):
         thm2_inputs(joint)

@@ -89,7 +89,8 @@ TRACE_B = {
 }
 TRACE_JOINTS = {f"A={a} B={b}": JointInput(A, B) for a, A in TRACE_A.items() for b, B in TRACE_B.items()}
 # a coefficient whose atom at 1 the tree cannot state
-TRACE_JOINTS["A=diff(poly-exp,pm(-0.5)) B=exp(1)"] = JointInput(Difference(_POLY_EXP, PointMass(-0.5)), Exponential(1.0))
+TRACE_JOINTS["A=diff(poly-exp,pm(-0.5)) B=exp(1)"] = JointInput(Difference(_POLY_EXP, PointMass(-0.5)),
+                                                                Exponential(1.0))
 TRACE_JOINTS["threshold(0.3,0.7,1) B=exp(1)"] = JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0))
 TRACE_JOINTS["threshold(0.3,0.7,1) B=poly-exp"] = JointInput(None, _POLY_EXP, ThresholdDependent(0.3, 0.7, 1.0))
 TRACE_ENTRIES = {f.__name__: f for f in (dispatch_exp_moment, exp_moment_criterion_positiveA,
@@ -104,7 +105,7 @@ def criteria_trace_text():
             for name, entry in TRACE_ENTRIES.items():
                 try:
                     got = json.dumps(entry(joint, r).as_dict(), sort_keys=True)
-                except Exception as exc:  # the refusal is part of the contract
+                except ValueError as exc:  # DispatchError and a bad r: the refusal is part of the contract
                     got = json.dumps(f"{type(exc).__name__}: {exc}")
                 lines.append(f"{json.dumps(f'{key} r={r:g} {name}')}: {got}")
     return "{\n" + ",\n".join(lines) + "\n}\n"

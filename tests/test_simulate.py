@@ -9,6 +9,7 @@ from perpetuity.distributions import (
     Exponential,
     Gamma,
     JointInput,
+    NoClosedForm,
     PointMass,
     SurvivalDefined,
     ThresholdDependent,
@@ -21,6 +22,7 @@ from perpetuity.simulate import (
     SampleBatch,
     SimConfig,
     _chunk_rng,
+    _e_exp_bB_above,
     _simulate_chunk,
     check_convergence,
     empirical_tail,
@@ -237,3 +239,19 @@ def test_csv_values_are_the_bytes_savetxt_writes(tmp_path, values):
         fh.write("# config_hash=0123456789abcdef master_seed=5\nx\n")
         np.savetxt(fh, v, fmt="%.17g")
     assert path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def test_exp_moment_above_q_refuses_past_the_mgf_domain_without_quadrature():
+    calls = []
+
+    def S(x):
+        calls.append(np.size(x))
+        return (1.0 + np.asarray(x, dtype=float)) ** -2 * np.exp(-np.asarray(x, dtype=float))
+
+    B = SurvivalDefined(S, 0.0, 1.0, "poly-exp")
+    calls.clear()  # the constructor checks the handle
+    with pytest.raises(NoClosedForm, match=r"b = 3 is past the MGF domain's end 1$"):
+        _e_exp_bB_above(B, 3.0, 1.0)
+    assert calls == []
+    # at the domain's end it still integrates: 1/(1+q) + 1/(1+q)^2 = 0.75 at q = 1, less the part beyond S's underflow
+    assert _e_exp_bB_above(B, 1.0, 1.0) == pytest.approx(0.75, abs=2e-3)
