@@ -13,8 +13,8 @@ on purpose, and each stays in its criterion:
   - all-negative A: the status of E e^{r(B1 + A1 B2)} decides before the
     bound P{|A|<=1}=1.
 The closed-form expectation table covers point masses, finite mixtures,
-exponential/gamma laws and the negation/scaling/shift closure; numbers
-outside the table are never "decided" numerically.
+exponential/gamma laws and their affine closure; numbers outside the
+table are never "decided" numerically.
 """
 
 from __future__ import annotations
@@ -119,6 +119,8 @@ def expected_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
         for w, p in zip(atoms.values(), phi.tolist()):
             total += w * p
         return ("finite", total)
+    if r * A.support()[0] <= B.mgf_domain()[0]:
+        return ("unknown", None)  # the domain is conservative and open: it shows neither finite nor infinite
     pole = B.mgf_pole()
     if pole is None:
         return ("unknown", None)

@@ -21,6 +21,7 @@ from perpetuity.distributions import (
     Gamma,
     JointInput,
     Mixture,
+    Negated,
     PointMass,
     Uniform,
 )
@@ -171,6 +172,19 @@ def test_expected_phi_rA_boundary_classification():
     st3, val3 = expected_phi_rA(Uniform(0.0, 0.5), Exponential(1.0), 1.0)
     assert st3 == "finite"
     assert val3 == pytest.approx(2.0 * math.log(2.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("lo", [-0.9, -0.5])
+def test_expected_phi_rA_reads_the_lower_end_of_the_mgf_domain(lo):
+    # phi(s) = 1/(1+s) for s > -1: E phi(2A) diverges when A reaches -1/2, at the open end as well as past it;
+    # the domain is conservative, so the status is unknown, never infinite
+    A, B = Uniform(lo, -0.1), Negated(Exponential(1.0))
+    assert expected_phi_rA(A, B, 2.0) == ("unknown", None)
+    assert exp_moment_criterion_mixedA(JointInput(A, B), 2.0).verdict == "Inconclusive"
+    assert prop_main_part1(JointInput(A, B), 2.0).verdict == "Inconclusive"
+    st, val = expected_phi_rA(Uniform(-0.4, -0.1), B, 2.0)
+    assert st == "finite"
+    assert val == pytest.approx(0.5 * math.log(4.0) / 0.3, rel=1e-9)
 
 
 def test_unconverged_phi_integral_gives_no_witness(monkeypatch):

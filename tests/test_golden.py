@@ -4,7 +4,9 @@ The files under tests/golden/ were written by the code before the law
 facts (exponential tail, Beta(lam, 1) shape, pole order, unit-atom
 inequality) moved onto the distribution tree; the refactor must not
 change a byte of them.  criteria_traces.json was written by the criteria
-before their three-valued verdict rule was stated once.
+before their three-valued verdict rule was stated once; six of its lines
+(A all negative, B = Negated(Exponential(1)), r = 2) then moved from Finite
+to Inconclusive when E phi(rA) began to read the lower end of B's MGF domain.
 """
 
 import json
