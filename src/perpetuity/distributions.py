@@ -32,6 +32,7 @@ __all__ = [
     "Gamma",
     "Beta",
     "Uniform",
+    "Affine",
     "Negated",
     "Shifted",
     "Scaled",
@@ -467,140 +468,91 @@ class Uniform(ScalarDistribution):
 
 
 @dataclass(frozen=True)
-class Negated(ScalarDistribution):
+class Affine(ScalarDistribution):
+    """scale * inner + offset, for a nonzero scale; an offset of 0 is never added, as 0.0 + -0.0 is 0.0.
+
+    For a negative scale, P{D > x} = P{inner < (x - offset) / scale}: an atom
+    of inner counts only when strictly below that point.
+    """
+
     inner: ScalarDistribution
+    scale: float = 1.0
+    offset: float = 0.0
+
+    def __post_init__(self):
+        if self.scale == 0:
+            raise ValidationError("Affine scale must be nonzero")
+
+    def _map(self, v):
+        return self.scale * v + self.offset if self.offset else self.scale * v
+
+    def _inverse(self, x):
+        return (x - self.offset) / self.scale
 
     def sample(self, rng, size):
-        return -self.inner.sample(rng, size)
+        return self._map(self.inner.sample(rng, size))
 
     def survival(self, x):
-        # P{-I > x} = P{I < -x} = 1 - P{I > -x} - P{I = -x}
-        xa = _as_array(x)
+        y = self._inverse(_as_array(x))
+        if self.scale > 0:
+            return self.inner.survival(y)
         at = self.inner.atoms()
         if at is not None:
-            vals = np.array(sorted(at))
-            cum = np.cumsum([at[v] for v in sorted(at)])
-            idx = np.searchsorted(vals, -xa, side="left")  # atoms strictly below -x
-            below = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-            return _maybe_scalar(below, x)
+            vals = sorted(at)
+            cum = np.cumsum([at[v] for v in vals])
+            idx = np.searchsorted(vals, y, side="left")  # atoms strictly below y
+            return _maybe_scalar(np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0), x)
         if self.inner.atom_at(0.0) == 0.0:
-            return _maybe_scalar(1.0 - np.asarray(self.inner.survival(-xa)), x)
-        raise NoClosedForm("Negated: inner atom structure unknown")
+            return _maybe_scalar(1.0 - np.asarray(self.inner.survival(y)), x)
+        raise NoClosedForm("Affine: inner atom structure unknown")
 
     def pdf(self, x):
-        p = self.inner.pdf(-_as_array(x))
-        return None if p is None else _maybe_scalar(p, x)
+        p = self.inner.pdf(self._inverse(_as_array(x)))
+        return None if p is None else _maybe_scalar(np.asarray(p) / abs(self.scale), x)
 
     def mgf(self, s, *, numeric_ok=True):
-        return self.inner.mgf(-s, numeric_ok=numeric_ok)
-
-    def mean(self):
-        return -self.inner.mean()
-
-    def support(self):
-        lo, hi = self.inner.support()
-        return (-hi, -lo)
-
-    def atoms(self):
-        at = self.inner.atoms()
-        return None if at is None else {-v: w for v, w in at.items()}
-
-    def atom_at(self, v):
-        return self.inner.atom_at(-v)
-
-    def mgf_domain(self):
-        lo, hi = self.inner.mgf_domain()
-        return (-hi, -lo)
-
-    def log_abs_moment(self):
-        return self.inner.log_abs_moment()
-
-
-@dataclass(frozen=True)
-class Shifted(ScalarDistribution):
-    inner: ScalarDistribution
-    offset: float
-
-    def sample(self, rng, size):
-        return self.inner.sample(rng, size) + self.offset
-
-    def survival(self, x):
-        return self.inner.survival(_as_array(x) - self.offset)
-
-    def pdf(self, x):
-        p = self.inner.pdf(_as_array(x) - self.offset)
-        return p
-
-    def mgf(self, s, *, numeric_ok=True):
-        m = _as_s(self.inner.mgf(s, numeric_ok=numeric_ok))
+        m = self.inner.mgf(s * self.scale, numeric_ok=numeric_ok)
+        if not self.offset:
+            return m
+        m = _as_s(m)
         return _maybe_scalar(np.where(m.real < _INF, m * np.exp(_as_s(s) * self.offset), _INF), s)
 
     def mean(self):
-        return self.inner.mean() + self.offset
+        return self._map(self.inner.mean())
 
     def support(self):
-        lo, hi = self.inner.support()
-        return (lo + self.offset, hi + self.offset)
+        lo, hi = (self._map(v) for v in self.inner.support())
+        return (lo, hi) if self.scale > 0 else (hi, lo)
 
     def atoms(self):
         at = self.inner.atoms()
-        return None if at is None else {v + self.offset: w for v, w in at.items()}
+        return None if at is None else {self._map(v): w for v, w in at.items()}
 
     def atom_at(self, v):
-        return self.inner.atom_at(v - self.offset)
+        return self.inner.atom_at(self._inverse(v))
 
     def mgf_domain(self):
-        return self.inner.mgf_domain()
-
-
-@dataclass(frozen=True)
-class Scaled(ScalarDistribution):
-    inner: ScalarDistribution
-    factor: float
-
-    def __post_init__(self):
-        if self.factor == 0:
-            raise ValidationError("Scaled factor must be nonzero")
-
-    def sample(self, rng, size):
-        return self.factor * self.inner.sample(rng, size)
-
-    def survival(self, x):
-        if self.factor > 0:
-            return self.inner.survival(_as_array(x) / self.factor)
-        return Negated(Scaled(self.inner, -self.factor)).survival(x)
-
-    def pdf(self, x):
-        p = self.inner.pdf(_as_array(x) / self.factor)
-        return None if p is None else np.asarray(p) / abs(self.factor)
-
-    def mgf(self, s, *, numeric_ok=True):
-        return self.inner.mgf(s * self.factor, numeric_ok=numeric_ok)
-
-    def mean(self):
-        return self.factor * self.inner.mean()
-
-    def support(self):
-        lo, hi = self.inner.support()
-        pts = sorted((self.factor * lo, self.factor * hi))
-        return (pts[0], pts[1])
-
-    def atoms(self):
-        at = self.inner.atoms()
-        return None if at is None else {self.factor * v: w for v, w in at.items()}
-
-    def atom_at(self, v):
-        return self.inner.atom_at(v / self.factor)
-
-    def mgf_domain(self):
-        # E e^{s factor D} is finite where s factor is in the inner domain
-        lo, hi = self.inner.mgf_domain()
-        pts = sorted((lo / self.factor, hi / self.factor))
-        return (pts[0], pts[1])
+        lo, hi = (v / self.scale for v in self.inner.mgf_domain())
+        return (lo, hi) if self.scale > 0 else (hi, lo)
 
     def log_abs_moment(self):
         m = self.inner.log_abs_moment()
-        return None if m is None else m + math.log(abs(self.factor))
+        return None if m is None or self.offset else m + math.log(abs(self.scale))
+
+
+def Negated(inner: ScalarDistribution) -> Affine:
+    """-inner."""
+    return Affine(inner, -1.0)
+
+
+def Shifted(inner: ScalarDistribution, offset: float) -> Affine:
+    """inner + offset."""
+    return Affine(inner, 1.0, offset)
+
+
+def Scaled(inner: ScalarDistribution, factor: float) -> Affine:
+    """factor * inner, for a nonzero factor."""
+    return Affine(inner, factor)
 
 
 @dataclass(frozen=True)
@@ -653,11 +605,17 @@ class Mixture(ScalarDistribution):
         total = sum(w * np.asarray(d.survival(x)) for w, d in self.components)
         return _maybe_scalar(total, x)
 
+    def _mix(self, fact):
+        """Sum of w fact(d) over the components; None when a part is unknown."""
+        total = 0
+        for w, d in self.components:
+            if (p := fact(d)) is None:
+                return None
+            total = total + w * p
+        return total
+
     def pdf(self, x):
-        parts = [d.pdf(x) for _, d in self.components]
-        if any(p is None for p in parts):
-            return None
-        return sum(w * np.asarray(p) for (w, _), p in zip(self.components, parts))
+        return self._mix(lambda d: d.pdf(x))
 
     def mgf(self, s, *, numeric_ok=True):
         with np.errstate(invalid="ignore"):  # w (inf + 0j) has a nan part, and outside the domain the MGF is inf
@@ -682,29 +640,17 @@ class Mixture(ScalarDistribution):
         return out
 
     def atom_at(self, v):
-        total = 0.0
-        for w, d in self.components:
-            a = d.atom_at(v)
-            if a is None:
-                return None
-            total += w * a
-        return total
+        return self._mix(lambda d: d.atom_at(v))
 
     def density_left_limit(self, v):
-        parts = [d.density_left_limit(v) for _, d in self.components]
-        if any(p is None for p in parts):
-            return None
-        return sum(w * p for (w, _), p in zip(self.components, parts))
+        return self._mix(lambda d: d.density_left_limit(v))
 
     def mgf_domain(self):
         los, his = zip(*(d.mgf_domain() for _, d in self.components))
         return (max(los), min(his))
 
     def log_abs_moment(self):
-        parts = [d.log_abs_moment() for _, d in self.components]
-        if any(p is None for p in parts):
-            return None
-        return sum(w * p for (w, _), p in zip(self.components, parts))
+        return self._mix(lambda d: d.log_abs_moment())
 
     def exp_tail(self):
         """Components at rate b add w C and w r; a faster one (MGF finite past b) adds its whole survival to r,

@@ -38,23 +38,28 @@ E2_MIXTURE = Mixture((
     (0.25, Difference(Exponential(1.0), Exponential(2.0))),
 ))
 
-VARIANTS = [
-    PointMass(0.7),
-    Exponential(1.3),
-    Gamma(2.5, 1.0),
-    Beta(2.0, 1.0),
-    Uniform(-1.0, 2.0),
-    Negated(Exponential(2.0)),
-    Shifted(Exponential(1.0), -0.5),
-    Scaled(Gamma(1.5, 1.0), 0.5),
-    E2_MIXTURE,
-    Difference(Exponential(1.0), Exponential(2.0)),
-    SurvivalDefined(lambda x: (1.0 + np.asarray(x, dtype=float)) ** -2
-                    * np.exp(-np.asarray(x, dtype=float)), 0.0, 1.0, "poly-exp"),
-]
+ATOMS = Mixture(((0.3, PointMass(-1.0)), (0.5, PointMass(0.5)), (0.2, PointMass(2.0))))
+VARIANTS = {
+    "PointMass": PointMass(0.7),
+    "Exponential": Exponential(1.3),
+    "Gamma": Gamma(2.5, 1.0),
+    "Beta": Beta(2.0, 1.0),
+    "Uniform": Uniform(-1.0, 2.0),
+    "Negated": Negated(Exponential(2.0)),
+    "Shifted": Shifted(Exponential(1.0), -0.5),
+    "Scaled": Scaled(Gamma(1.5, 1.0), 0.5),
+    "Mixture": E2_MIXTURE,
+    "Difference": Difference(Exponential(1.0), Exponential(2.0)),
+    "SurvivalDefined": SurvivalDefined(lambda x: (1.0 + np.asarray(x, dtype=float)) ** -2
+                                       * np.exp(-np.asarray(x, dtype=float)), 0.0, 1.0, "poly-exp"),
+    # negative scales: atoms count only strictly below the mapped point, a density through 1 - S
+    "Negated-atoms": Negated(ATOMS),
+    "Scaled-atoms": Scaled(ATOMS, -2.0),
+    "Scaled-negative": Scaled(Exponential(1.0), -2.0),
+}
 
 
-@pytest.mark.parametrize("dist", VARIANTS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("dist", VARIANTS.values(), ids=list(VARIANTS))
 def test_sampling_matches_survival_at_ten_points(dist):
     rng = np.random.default_rng(2024)
     n = 1_000_000
@@ -67,18 +72,18 @@ def test_sampling_matches_survival_at_ten_points(dist):
         assert abs(p_hat - p) <= 3.0 * se + 1e-12, (x, p, p_hat)
 
 
-@pytest.mark.parametrize("dist", VARIANTS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("dist", VARIANTS.values(), ids=list(VARIANTS))
 def test_mgf_at_zero_is_one(dist):
     assert dist.mgf(0.0) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("dist", VARIANTS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("dist", VARIANTS.values(), ids=list(VARIANTS))
 def test_charfn_bounded_by_one(dist):
     for t in (-3.0, -0.7, 0.0, 0.4, 1.0, 5.0):
         assert abs(dist.charfn(t)) <= 1.0 + 1e-9
 
 
-# points on every VARIANTS law's strip, and each leaf's MGF by an independent formula, in mpmath
+# points on every VARIANTS law's closed strip, and each leaf's MGF by an independent formula, in mpmath
 STRIP = [complex(re, im) for re in (-0.5, 0.3, 0.8) for im in (-7.0, -1.5, 0.4, 2.0, 12.0)]
 LEAF_MGF = {
     "PointMass": lambda s: mp.exp(0.7 * s),
@@ -89,7 +94,7 @@ LEAF_MGF = {
 }
 
 
-@pytest.mark.parametrize("dist", VARIANTS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("dist", VARIANTS.values(), ids=list(VARIANTS))
 def test_mgf_on_the_complex_strip(dist):
     name = type(dist).__name__
     for s in STRIP:
