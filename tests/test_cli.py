@@ -100,6 +100,29 @@ def test_moments_verdict_written(tmp_path):
     assert verdict["verdict"] == "Finite"
 
 
+THRESHOLD = """
+joint.dependence.variant = threshold
+joint.dependence.zeta1 = 0.3
+joint.dependence.zeta2 = 0.7
+joint.dependence.q = 1.0
+joint.B.variant = exponential
+joint.B.rate = 1.0
+sim.n_samples = 20000
+moments.r = 0.5
+"""
+
+
+def test_threshold_dependence_config(tmp_path, capsys):
+    path = write(tmp_path, THRESHOLD)
+    assert run("simulate", path, tmp_path / "sim") == 0
+    assert run("moments", path, tmp_path / "mom") == 0
+    assert json.loads((tmp_path / "mom" / "verdict.json").read_text())["verdict"] == "Finite"
+    capsys.readouterr()
+    bad = write(tmp_path, THRESHOLD + "joint.A.variant = pointmass\njoint.A.value = 0.5\n", "bad.txt")
+    assert run("moments", bad, tmp_path / "bad") == 2
+    assert "joint.A.*: must be unset for threshold dependence (A is derived)" in capsys.readouterr().err
+
+
 def test_moments_strict_inconclusive_exits_4(tmp_path):
     text = """
 joint.A.variant = atoms
