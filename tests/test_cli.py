@@ -491,3 +491,82 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (out / "validation.json").exists()
+
+
+# --- config surface: each refusal's exit code and its one stderr line ---------
+
+EXP_B = "joint.B.variant = exponential\njoint.B.rate = 1\n"
+HALF_A = "joint.A.variant = pointmass\njoint.A.value = 0.5\n"
+CONFIG_REFUSALS = {
+    "malformed-line": ("simulate", "joint.A.variant = beta\njoint.A.p 2\n",
+                       "line 2: expected 'key = value', got 'joint.A.p 2'"),
+    "non-number": ("moments", EXP_B + "joint.A.variant = beta\njoint.A.p = two\nmoments.r = 0.5\n",
+                   "joint.A.p: expected a number, got 'two'"),
+    "non-number-list": ("moments", HALF_A + "joint.B.variant = exp_mixture\njoint.B.weights = 0.5,x\n"
+                        "joint.B.rates = 1,2\nmoments.r = 0.5\n",
+                        "expected comma-separated numbers, got '0.5,x'"),
+    "non-integer": ("simulate", HALF_A + EXP_B + "sim.n_samples = 1e5\n",
+                    "sim.n_samples: expected an integer, got '1e5'"),
+    "exp_mixture-lengths": ("moments", HALF_A + "joint.B.variant = exp_mixture\njoint.B.weights = 0.5,0.5\n"
+                            "joint.B.rates = 1\nmoments.r = 0.5\n",
+                            "joint.B: weights and rates must have equal length"),
+    "atoms-lengths": ("moments", EXP_B + "joint.A.variant = atoms\njoint.A.values = 0.25,0.75\n"
+                      "joint.A.weights = 1\nmoments.r = 0.5\n",
+                      "joint.A: values and weights must have equal length"),
+    "unknown-A": ("moments", EXP_B + "joint.A.variant = gamma\nmoments.r = 0.5\n",
+                  "joint.A.variant: unknown variant 'gamma'"),
+    "unknown-B": ("moments", HALF_A + "joint.B.variant = cauchy\nmoments.r = 0.5\n",
+                  "joint.B.variant: unknown variant 'cauchy'"),
+    "unknown-dependence": ("moments", HALF_A + EXP_B + "joint.dependence.variant = copula\nmoments.r = 0.5\n",
+                           "joint.dependence.variant: unknown variant 'copula'"),
+    "gamma-B": ("moments", HALF_A + "joint.B.variant = gamma\njoint.B.shape = 0\njoint.B.rate = 1\n"
+                "moments.r = 0.5\n", "Gamma parameters must be > 0"),
+    "pointmass-B": ("simulate", HALF_A + "joint.B.variant = pointmass\njoint.B.value = 1\n",
+                    "degeneracy: B + A*c = c a.s. for c = 2"),
+    "poly_exp-power": ("moments", HALF_A + "joint.B.variant = poly_exp\njoint.B.power = 1\njoint.B.rate = 1\n"
+                       "moments.r = 0.5\n", "joint.B (poly_exp): needs power <= 0 and rate > 0"),
+    "degenerate-A": ("simulate", EXP_B + "joint.A.variant = pointmass\njoint.A.value = 0\n",
+                     "degeneracy: P{A=0} > 0"),
+    "A-atom-at-minus-one": ("moments", EXP_B + "joint.A.variant = pointmass\njoint.A.value = -1\nmoments.r = 0.5\n",
+                            "P{|A|=1} = 1 is outside both parts of the two-sided criterion"),
+}
+
+
+@pytest.mark.parametrize("cmd,text,message", CONFIG_REFUSALS.values(), ids=CONFIG_REFUSALS.keys())
+def test_config_refusal_exits_2_with_one_line(tmp_path, capsys, cmd, text, message):
+    out = tmp_path / "o"
+    assert run(cmd, write(tmp_path, text), out) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["validate"], "no reference case id given"),
+    (["simulate", "--config", "{tmp}/absent.txt"], "[Errno 2] No such file or directory: '{tmp}/absent.txt'"),
+], ids=["validate-without-case", "missing-config-file"])
+def test_refusal_before_any_config_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
+    assert not out.exists()
+
+
+X_GRID = HALF_A + EXP_B + "sim.n_samples = 2000\nsim.seed = 5\nsim.x_grid = 1, 2.5,4\ntail.b = 1.0\n"
+
+
+def test_simulate_reports_the_tail_on_the_configured_grid(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("simulate", write(tmp_path, X_GRID), out) == 0
+    assert capsys.readouterr().err == ""
+    rows = json.loads((out / "summary.json").read_text())["empirical_tail"]
+    assert [row["x"] for row in rows] == [1.0, 2.5, 4.0]
+    assert all(0 < row["p_hat"] < 1 and row["std_err"] > 0 for row in rows)
+
+
+def test_tail_verify_checks_the_configured_grid(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("tail", write(tmp_path, X_GRID), out, "--verify") == 0
+    assert capsys.readouterr().err == ""
+    lines = (out / "ratio.csv").read_text().splitlines()
+    assert lines[0] == "x,predicted,empirical,std_err,ratio"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [1.0, 2.5, 4.0]
