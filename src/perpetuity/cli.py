@@ -106,23 +106,6 @@ _TOP_KEYS = {
     "validate.case",
 }
 
-_A_KEYS = {
-    "beta": {"p", "q"},
-    "uniform": {"lo", "hi"},
-    "pointmass": {"value"},
-    "atoms": {"values", "weights"},
-}
-_B_KEYS = {
-    "exponential": {"rate"},
-    "gamma": {"shape", "rate"},
-    "uniform": {"lo", "hi"},
-    "pointmass": {"value"},
-    "exp_mixture": {"weights", "rates"},
-    "exp_difference": {"left.weights", "left.rates", "right.weights", "right.rates"},
-    "poly_exp": {"power", "rate"},
-}
-
-
 def _require(cfg: dict, key: str) -> str:
     if key not in cfg:
         raise ConfigError(f"missing required key: {key}")
@@ -136,96 +119,94 @@ def _floats(val: str) -> list[float]:
         raise ConfigError(f"expected comma-separated numbers, got {val!r}") from e
 
 
-def _float(cfg: dict, key: str, default: Optional[float] = None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key: {key}")
+def _number(cfg: dict, key: str, default=None, kind=float):
+    """cfg[key] as a float (or int), or `default` when the key is absent; no default means required."""
+    if key not in cfg and default is not None:
         return default
+    val = _require(cfg, key)
     try:
-        return float(cfg[key])
+        return kind(val)
     except ValueError as e:
-        raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from e
+        raise ConfigError(f"{key}: expected {'an integer' if kind is int else 'a number'}, got {val!r}") from e
 
 
-def _int(cfg: dict, key: str, default: Optional[int] = None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required key: {key}")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError as e:
-        raise ConfigError(f"{key}: expected an integer, got {cfg[key]!r}") from e
+def _paired(cfg: dict, side: str, first: str, second: str):
+    """Pairs from the equal-length number lists at side.first and side.second."""
+    xs = _floats(_require(cfg, f"{side}.{first}"))
+    ys = _floats(_require(cfg, f"{side}.{second}"))
+    if len(xs) != len(ys):
+        raise ConfigError(f"{side}: {first} and {second} must have equal length")
+    return zip(xs, ys)
 
 
-def _exp_mixture(cfg: dict, prefix: str):
-    weights = _floats(_require(cfg, prefix + ".weights"))
-    rates = _floats(_require(cfg, prefix + ".rates"))
-    if len(weights) != len(rates):
-        raise ConfigError(f"{prefix}: weights and rates must have equal length")
-    if len(weights) == 1:
-        return Exponential(rates[0])
-    return Mixture(tuple((w, Exponential(r)) for w, r in zip(weights, rates)))
+def _exp_mixture(cfg: dict, side: str):
+    parts = tuple((w, Exponential(r)) for w, r in _paired(cfg, side, "weights", "rates"))
+    # one rate is Exponential itself: a one-part Mixture would draw another stream
+    return parts[0][1] if len(parts) == 1 else Mixture(parts)
 
 
-def _build_A(cfg: dict):
-    variant = _require(cfg, "joint.A.variant")
-    if variant == "beta":
-        return Beta(_float(cfg, "joint.A.p"), _float(cfg, "joint.A.q", 1.0))
-    if variant == "uniform":
-        return Uniform(_float(cfg, "joint.A.lo", 0.0), _float(cfg, "joint.A.hi", 1.0))
-    if variant == "pointmass":
-        return PointMass(_float(cfg, "joint.A.value"))
-    if variant == "atoms":
-        vals = _floats(_require(cfg, "joint.A.values"))
-        ws = _floats(_require(cfg, "joint.A.weights"))
-        if len(vals) != len(ws):
-            raise ConfigError("joint.A: values and weights must have equal length")
-        return Mixture(tuple((w, PointMass(v)) for w, v in zip(ws, vals)))
-    raise ConfigError(f"joint.A.variant: unknown variant {variant!r}")
+def _poly_exp(cfg: dict, side: str):
+    power = _number(cfg, side + ".power")
+    rate = _number(cfg, side + ".rate")
+    if power > 0 or rate <= 0:
+        raise ConfigError(f"{side} (poly_exp): needs power <= 0 and rate > 0")
+    S = lambda x: (1.0 + np.maximum(np.asarray(x, dtype=float), 0.0)) ** power * \
+        np.exp(-rate * np.maximum(np.asarray(x, dtype=float), 0.0))
+    return SurvivalDefined(S, 0.0, decay_rate=rate, name=f"(1+x)^{power:g} exp(-{rate:g} x)")
 
 
-def _build_B(cfg: dict):
-    variant = _require(cfg, "joint.B.variant")
-    if variant == "exponential":
-        return Exponential(_float(cfg, "joint.B.rate"))
-    if variant == "gamma":
-        return Gamma(_float(cfg, "joint.B.shape"), _float(cfg, "joint.B.rate"))
-    if variant == "uniform":
-        return Uniform(_float(cfg, "joint.B.lo", 0.0), _float(cfg, "joint.B.hi", 1.0))
-    if variant == "pointmass":
-        return PointMass(_float(cfg, "joint.B.value"))
-    if variant == "exp_mixture":
-        return _exp_mixture(cfg, "joint.B")
-    if variant == "exp_difference":
-        return Difference(_exp_mixture(cfg, "joint.B.left"), _exp_mixture(cfg, "joint.B.right"))
-    if variant == "poly_exp":
-        power = _float(cfg, "joint.B.power")
-        rate = _float(cfg, "joint.B.rate")
-        if power > 0 or rate <= 0:
-            raise ConfigError("joint.B (poly_exp): needs power <= 0 and rate > 0")
-        S = lambda x: (1.0 + np.maximum(np.asarray(x, dtype=float), 0.0)) ** power * \
-            np.exp(-rate * np.maximum(np.asarray(x, dtype=float), 0.0))
-        return SurvivalDefined(S, 0.0, decay_rate=rate, name=f"(1+x)^{power:g} exp(-{rate:g} x)")
-    raise ConfigError(f"joint.B.variant: unknown variant {variant!r}")
+def _uniform(cfg: dict, side: str):
+    return Uniform(_number(cfg, side + ".lo", 0.0), _number(cfg, side + ".hi", 1.0))
+
+
+def _pointmass(cfg: dict, side: str):
+    return PointMass(_number(cfg, side + ".value"))
+
+
+# side -> variant -> (its keys under the side, the builder that reads them)
+_LAWS = {
+    "joint.A": {
+        "beta": (("p", "q"), lambda cfg, side: Beta(_number(cfg, side + ".p"), _number(cfg, side + ".q", 1.0))),
+        "uniform": (("lo", "hi"), _uniform),
+        "pointmass": (("value",), _pointmass),
+        "atoms": (("values", "weights"), lambda cfg, side: Mixture(
+            tuple((w, PointMass(v)) for v, w in _paired(cfg, side, "values", "weights")))),
+    },
+    "joint.B": {
+        "exponential": (("rate",), lambda cfg, side: Exponential(_number(cfg, side + ".rate"))),
+        "gamma": (("shape", "rate"),
+                  lambda cfg, side: Gamma(_number(cfg, side + ".shape"), _number(cfg, side + ".rate"))),
+        "uniform": (("lo", "hi"), _uniform),
+        "pointmass": (("value",), _pointmass),
+        "exp_mixture": (("weights", "rates"), _exp_mixture),
+        "exp_difference": (("left.weights", "left.rates", "right.weights", "right.rates"),
+                           lambda cfg, side: Difference(_exp_mixture(cfg, side + ".left"),
+                                                        _exp_mixture(cfg, side + ".right"))),
+        "poly_exp": (("power", "rate"), _poly_exp),
+    },
+}
+_THRESHOLD_KEYS = ("zeta1", "zeta2", "q")
+
+
+def _law(cfg: dict, side: str):
+    variant = _require(cfg, side + ".variant")
+    if variant not in _LAWS[side]:
+        raise ConfigError(f"{side}.variant: unknown variant {variant!r}")
+    return _LAWS[side][variant][1](cfg, side)
 
 
 def _check_keys(cfg: dict):
-    a_variant = cfg.get("joint.A.variant")
-    b_variant = cfg.get("joint.B.variant")
     dep_variant = cfg.get("joint.dependence.variant", "independent")
-    allowed = set(_TOP_KEYS)
-    allowed.add("joint.dependence.variant")
-    if dep_variant == "threshold":
-        allowed |= {"joint.dependence.zeta1", "joint.dependence.zeta2", "joint.dependence.q"}
-    elif dep_variant != "independent":
+    if dep_variant not in ("independent", "threshold"):
         raise ConfigError(f"joint.dependence.variant: unknown variant {dep_variant!r}")
-    if a_variant is not None:
-        allowed.add("joint.A.variant")
-        allowed |= {f"joint.A.{k}" for k in _A_KEYS.get(a_variant, set())}
-    if b_variant is not None:
-        allowed.add("joint.B.variant")
-        allowed |= {f"joint.B.{k}" for k in _B_KEYS.get(b_variant, set())}
+    allowed = _TOP_KEYS | {"joint.dependence.variant"}
+    if dep_variant == "threshold":
+        allowed |= {f"joint.dependence.{k}" for k in _THRESHOLD_KEYS}
+    for side, laws in _LAWS.items():
+        variant = cfg.get(side + ".variant")
+        if variant is not None:
+            keys = laws[variant][0] if variant in laws else ()
+            allowed |= {side + ".variant"} | {f"{side}.{k}" for k in keys}
     for key in cfg:
         if key not in allowed:
             raise ConfigError(f"unknown config key: {key}")
@@ -233,28 +214,23 @@ def _check_keys(cfg: dict):
 
 def build_joint(cfg: dict) -> JointInput:
     _check_keys(cfg)
-    dep_variant = cfg.get("joint.dependence.variant", "independent")
-    B = _build_B(cfg)
-    if dep_variant == "threshold":
+    B = _law(cfg, "joint.B")
+    if cfg.get("joint.dependence.variant", "independent") == "threshold":
         if "joint.A.variant" in cfg:
             raise ConfigError("joint.A.*: must be unset for threshold dependence (A is derived)")
-        dep = ThresholdDependent(
-            _float(cfg, "joint.dependence.zeta1"),
-            _float(cfg, "joint.dependence.zeta2"),
-            _float(cfg, "joint.dependence.q"),
-        )
+        dep = ThresholdDependent(*(_number(cfg, f"joint.dependence.{k}") for k in _THRESHOLD_KEYS))
         return JointInput(None, B, dep)
-    return JointInput(_build_A(cfg), B)
+    return JointInput(_law(cfg, "joint.A"), B)
 
 
 def build_sim_config(cfg: dict, seed_override: Optional[int] = None) -> SimConfig:
-    seed = seed_override if seed_override is not None else _int(cfg, "sim.seed", 0)
+    seed = seed_override if seed_override is not None else _number(cfg, "sim.seed", 0, int)
     return SimConfig(
-        n_samples=_int(cfg, "sim.n_samples", 100_000),
+        n_samples=_number(cfg, "sim.n_samples", 100_000, int),
         master_seed=seed,
-        truncation_eps=_float(cfg, "sim.truncation_eps", 1e-16),
-        max_terms=_int(cfg, "sim.max_terms", 1_000_000),
-        n_streams=_int(cfg, "sim.n_streams", 1),
+        truncation_eps=_number(cfg, "sim.truncation_eps", 1e-16),
+        max_terms=_number(cfg, "sim.max_terms", 1_000_000, int),
+        n_streams=_number(cfg, "sim.n_streams", 1, int),
     )
 
 
@@ -266,8 +242,15 @@ def config_hash(cfg: dict, seed: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns an exit code, or raises ConfigError (or lets
+# DispatchError or ValidationError through) for `main` to report
 # ---------------------------------------------------------------------------
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
 
 def _emit_json(payload: dict, path: Optional[Path], no_timestamp: bool):
     if not no_timestamp:
@@ -282,8 +265,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     joint = build_joint(cfg)
     rep = validate_nondegeneracy(joint)
     if not rep.ok:
-        print("config error: " + "; ".join(rep.violations), file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("; ".join(rep.violations))
     conv = check_convergence(joint)
     if conv.verdict == "diverges":
         print("divergence: " + "; ".join(conv.evidence), file=sys.stderr)
@@ -291,10 +273,8 @@ def cmd_simulate(cfg: dict, args) -> int:
     sim = build_sim_config(cfg, args.seed)
     batch = sample_batch(joint, sim)
     h = config_hash(cfg, sim.master_seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "samples.csv"
-    batch.to_csv(csv_path, h, sim.master_seed)
+    out = _out_dir(args)
+    batch.to_csv(out / "samples.csv", h, sim.master_seed)
     summary = {
         "config_hash": h,
         "n_samples": int(batch.values.size),
@@ -312,17 +292,11 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def cmd_moments(cfg: dict, args) -> int:
     joint = build_joint(cfg)
-    r = _float(cfg, "moments.r")
+    r = _number(cfg, "moments.r")
     sup = cfg.get("moments.support_unbounded")
     sup_tv = None if sup is None else (sup.lower() == "true")
-    try:
-        verdict = dispatch_exp_moment(joint, r, sup_tv)
-    except DispatchError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _emit_json(verdict.as_dict(), out / "verdict.json", args.no_timestamp)
+    verdict = dispatch_exp_moment(joint, r, sup_tv)
+    _emit_json(verdict.as_dict(), _out_dir(args) / "verdict.json", args.no_timestamp)
     if args.strict and verdict.verdict == "Inconclusive":
         return EXIT_INCONCLUSIVE
     return EXIT_OK
@@ -341,7 +315,7 @@ def cmd_tail(cfg: dict, args) -> int:
     sim = build_sim_config(cfg, args.seed)
     if prediction is None and joint.independent:
         try:
-            b = _float(cfg, "tail.b", joint.B.mgf_domain()[1])
+            b = _number(cfg, "tail.b", joint.B.mgf_domain()[1])
             if not math.isfinite(b):
                 raise PredictionRefused("no finite tail decay rate for B")
             prediction = prop_main_constant(joint, b, sim)
@@ -350,13 +324,12 @@ def cmd_tail(cfg: dict, args) -> int:
 
     if prediction is None:
         try:
-            model = GammaLike(_float(cfg, "tail.a"), _float(cfg, "tail.c"), _float(cfg, "tail.b"))
+            model = GammaLike(_number(cfg, "tail.a"), _number(cfg, "tail.c"), _number(cfg, "tail.b"))
             prediction = thm1_constant(joint, model, sim)
         except (PredictionRefused, ConfigError, ValidationError) as e:
             misses.append(f"smoothed-tail route: {e}")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     if prediction is None:
         print("no applicable tail theorem; nearest misses:", file=sys.stderr)
         for m in misses:
@@ -386,22 +359,18 @@ def cmd_tail(cfg: dict, args) -> int:
 def cmd_validate(cfg: dict, args) -> int:
     case_id = args.target or cfg.get("validate.case")
     if not case_id:
-        print("config error: no reference case id given", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no reference case id given")
     try:
         case = get_case(case_id)
     except KeyError as e:
-        print(f"config error: {e.args[0]}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(e.args[0]) from e
     sim = build_sim_config(cfg, args.seed)
     try:
         report = compare_empirical(case, sim)
     except ReferenceNotConverged as e:
         print(f"reference error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _emit_json(report.as_dict(), out / "validation.json", args.no_timestamp)
+    _emit_json(report.as_dict(), _out_dir(args) / "validation.json", args.no_timestamp)
     print(report.table(), file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
@@ -412,15 +381,13 @@ def cmd_charfn(cfg: dict, args) -> int:
     try:
         vals = [perpetuity_cf(joint, t) for t in ts]
     except PredictionRefused as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "charfn.csv", "w") as fh:
+        raise ConfigError(str(e)) from e
+    path = _out_dir(args) / "charfn.csv"
+    with open(path, "w") as fh:
         fh.write("t,re,im\n")
         for t, v in zip(ts, vals):
             fh.write(f"{t:.10g},{v.real:.12g},{v.imag:.12g}\n")
-    print((out / "charfn.csv").read_text(), end="")
+    print(path.read_text(), end="")
     return EXIT_OK
 
 
@@ -428,9 +395,18 @@ def cmd_charfn(cfg: dict, args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "simulate": cmd_simulate,
+    "moments": cmd_moments,
+    "tail": cmd_tail,
+    "validate": cmd_validate,
+    "charfn": cmd_charfn,
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="perpetuity", description="Perpetuity tail laboratory")
-    p.add_argument("command", choices=["simulate", "moments", "tail", "validate", "charfn"])
+    p.add_argument("command", choices=list(_COMMANDS))
     p.add_argument("target", nargs="?", default=None, metavar="CONFIG|CASE",
                    help="config path; for validate, the reference case id")
     p.add_argument("--config", type=str, default=None)
@@ -442,33 +418,26 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _read_config(args) -> dict[str, str]:
     config_path = args.config
     if args.command != "validate" and args.target is not None:
         if config_path is not None:
-            print(f"config error: config given twice: {args.target!r} and --config {config_path!r}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"config given twice: {args.target!r} and --config {config_path!r}")
         config_path = args.target
-    cfg: dict[str, str] = {}
-    if config_path is not None:
-        try:
-            cfg = parse_config_text(Path(config_path).read_text())
-        except (OSError, ConfigError) as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
+    if config_path is None:
+        return {}
     try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args)
-        if args.command == "moments":
-            return cmd_moments(cfg, args)
-        if args.command == "tail":
-            return cmd_tail(cfg, args)
-        if args.command == "validate":
-            return cmd_validate(cfg, args)
-        return cmd_charfn(cfg, args)
-    except (ConfigError, ValidationError) as e:
+        text = Path(config_path).read_text()
+    except OSError as e:
+        raise ConfigError(str(e)) from e
+    return parse_config_text(text)
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](_read_config(args), args)
+    except (ConfigError, DispatchError, ValidationError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
