@@ -20,7 +20,7 @@ table are never "decided" numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,9 +61,6 @@ class Condition:
     status: str  # "satisfied" | "violated" | "unknown"
     witness: object = None
 
-    def as_dict(self):
-        return {"name": self.name, "status": self.status, "witness": self.witness}
-
 
 @dataclass
 class MomentVerdict:
@@ -72,11 +69,7 @@ class MomentVerdict:
     condition_trace: list = field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "theorem_used": self.theorem_used,
-            "condition_trace": [c.as_dict() for c in self.condition_trace],
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -832,17 +832,7 @@ def _weighted_sum(parts) -> Callable:
 def _exp_sum(terms) -> Callable:
     """x -> sum of c e^{-beta x} over the (c, beta) pairs, for x >= 0 (the bits of the Exponential survivals' sum
     there); the zero remainder when there are none."""
-    if not terms:
-        return _no_remainder
-
-    def f(x):
-        xa = _as_array(x)
-        out = np.zeros_like(xa)
-        for c, beta in terms:
-            out += c * np.exp(-beta * xa)
-        return out
-
-    return f
+    return _weighted_sum([(c, lambda x, beta=beta: np.exp(-beta * x)) for c, beta in terms])
 
 
 def _exp_tilted_survival(survival: Callable, s) -> Callable:
@@ -993,9 +983,6 @@ class SurvivalDefined(ScalarDistribution):
     def mgf_domain(self):
         # Conservative: the exponential envelope only certifies s < decay_rate.
         return (-_INF, self.decay_rate)
-
-    def log1p_neg_moment_finite(self):
-        return True
 
 
 # ---------------------------------------------------------------------------
