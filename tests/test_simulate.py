@@ -212,6 +212,16 @@ def test_check_convergence_verdicts():
     assert v3.e_log_abs_A == pytest.approx(-1.0, rel=1e-12)
 
 
+def test_check_convergence_estimates_E_log_abs_A_by_monte_carlo():
+    # a uniform A straddling 0 has no closed E log|A|; the CLI reaches this with joint.A.lo < 0
+    v = check_convergence(JointInput(Uniform(-0.5, 0.5), Exponential(1.0)))
+    assert v.verdict == "converges"
+    assert v.e_log_abs_A_source == "monte-carlo"
+    assert v.evidence[0].endswith("(MC)")
+    # |A| = V/2 with V ~ U(0, 1): E log|A| = log 0.5 - 1, and log V has variance 1 over 10^5 draws
+    assert abs(v.e_log_abs_A - (math.log(0.5) - 1.0)) < 4 / math.sqrt(100_000)
+
+
 def test_csv_export_format(tmp_path):
     batch = sample_batch(GEOMETRIC, SimConfig(n_samples=8, master_seed=77))
     path = tmp_path / "samples.csv"
