@@ -252,12 +252,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _emit_json(payload: dict, path: Optional[Path], no_timestamp: bool):
+def _emit_json(payload: dict, path: Path, no_timestamp: bool):
     if not no_timestamp:
         payload = dict(payload, timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is not None:
-        path.write_text(text + "\n")
+    path.write_text(text + "\n")
     print(text)
 
 
