@@ -59,6 +59,7 @@ from .asymptotics import (
     PredictionRefused,
     TailPrediction,
     perpetuity_cf,
+    perpetuity_mgf,
     prop_main_constant,
     thm1_constant,
     thm2_K,

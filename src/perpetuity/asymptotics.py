@@ -6,12 +6,13 @@ Three routes to a predicted right tail of X:
     carried with the 1/x term of its own expansion,
     P{X > x} = P{B > x} (K0 + K1/x + o(1/x)),
   * the power-corrected route K x^{lam C} e^{-bx} for A ~ Beta(lam, 1).
-Plus an evaluator for the characteristic function of X via the
-compound-Poisson exponent representation.
+Plus the transform of X, E e^{sX}, by the compound-Poisson exponent
+representation, closed in logs for a two-sided hyperexponential increment.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -40,6 +41,7 @@ __all__ = [
     "thm1_constant",
     "thm2_inputs",
     "thm2_K",
+    "perpetuity_mgf",
     "perpetuity_cf",
 ]
 
@@ -343,12 +345,13 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
            left_tail: Optional[Callable] = None,
            left_decay_hint: Optional[float] = None,
            tol: float = 1e-10) -> TailPrediction:
-    """Predicted tail K x^{lam C} e^{-bx}.
+    """Predicted tail K x^{lam C} e^{-bx}, K = (C b^{C lam} / Gamma(C lam + 1)) exp(lam (right - left)).
 
-    `left_tail(y)` is P{B <= y} for y < 0 (omit for nonnegative B).  The
-    left integral is evaluated in the reflected variable so both integrals
-    share the semi-infinite routine.  `tail.r` and `left_tail` are called
-    on 1-d arrays of quadrature nodes, one call per bisection.
+    right = int_0^inf (e^{by} - 1)/y r(y) dy, left = int_0^inf (1 - e^{-by})/y P{B <= -y} dy.  Each is a
+    Frullani sum where `tail` states it as an exponential sum (`r_terms`: sum c log(beta/(beta - b));
+    `left_terms`: sum d log(1 + b/l)), else a quadrature: `left_tail(y)` is P{B <= y} for y < 0 (omit for
+    nonnegative B), taken in the reflected variable so both integrals share the semi-infinite routine,
+    and `tail.r` and `left_tail` are called on 1-d arrays of nodes, one call per bisection.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -357,44 +360,49 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
         raise PredictionRefused("remainder flags r_vanishes/r_integrable not asserted")
     trace.append("remainder vanishing and integrability asserted")
     C, b = tail.C, tail.b
+    source = "ClosedForm"
 
-    def right_integrand(y):
-        return expm1_over(b, y) * np.asarray(tail.r(y), dtype=float)
+    def integral(name, terms, log_factor, integrand, hint):
+        nonlocal source
+        if terms is not None:
+            value = sum(c * log_factor(rate) for c, rate in terms)
+            trace.append(f"{name} integral by Frullani sum = {value:.12g}")
+            return value
+        res = integrate_semi_infinite(integrand, 0.0, tol, hint, vectorized=True)
+        if not res.converged:
+            raise PredictionRefused(f"{name} integral did not converge", quad=res)
+        trace.append(f"{name} integral = {res.value:.12g} (err {res.abs_error_estimate:.2g})")
+        source = "Quadrature"
+        return res.value
 
-    res_r = integrate_semi_infinite(right_integrand, 0.0, tol, max(tail.r_decay_margin, 1e-3), vectorized=True)
-    if not res_r.converged:
-        raise PredictionRefused("remainder integral did not converge", quad=res_r)
-    trace.append(f"remainder integral = {res_r.value:.12g} (err {res_r.abs_error_estimate:.2g})")
-
+    right = integral("remainder", tail.r_terms, lambda beta: math.log(beta / (beta - b)),
+                     lambda y: expm1_over(b, y) * np.asarray(tail.r(y), dtype=float),
+                     max(tail.r_decay_margin, 1e-3))
     if left_tail is not None:
-        hint = left_decay_hint if left_decay_hint is not None else b
-
-        def left_integrand(y):
-            # -(e^{-by}-1)/y * P{B <= -y}, the y -> -y image of the original
-            return -expm1_over(-b, y) * np.asarray(left_tail(-y), dtype=float)
-
-        res_l = integrate_semi_infinite(left_integrand, 0.0, tol, hint, vectorized=True)
-        if not res_l.converged:
-            raise PredictionRefused("left-tail integral did not converge", quad=res_l)
-        trace.append(f"left-tail integral = {res_l.value:.12g} (err {res_l.abs_error_estimate:.2g})")
-        left_val = res_l.value
+        # -(e^{-by}-1)/y * P{B <= -y}, the y -> -y image of the original
+        left = integral("left-tail", tail.left_terms, lambda l: math.log1p(b / l),
+                        lambda y: -expm1_over(-b, y) * np.asarray(left_tail(-y), dtype=float),
+                        left_decay_hint if left_decay_hint is not None else b)
     else:
-        left_val = 0.0
+        left = 0.0
         trace.append("no left tail (B >= 0)")
 
-    K = (C * b ** (C * lam) / math.gamma(C * lam + 1.0)) * math.exp(lam * (res_r.value - left_val))
+    K = (C * b ** (C * lam) / math.gamma(C * lam + 1.0)) * math.exp(lam * (right - left))
     form = GammaLike(K, lam * C, b)
-    return TailPrediction(form, K, "Quadrature", "Thm2", trace)
+    return TailPrediction(form, K, source, "Thm2", trace)
 
 
 # ---------------------------------------------------------------------------
-# Characteristic function of X
+# The transform of X: E e^{sX} and the characteristic function
 # ---------------------------------------------------------------------------
 
-def perpetuity_cf(joint: JointInput, t: float, tol: float = 1e-10) -> complex:
-    """Psi(t) = Phi(t) exp(lam int_0^t (Phi(u)-1)/u du) for A ~ Beta(lam, 1), Phi(u) = B.mgf(iu).
+def perpetuity_mgf(joint: JointInput, s, tol: float = 1e-10) -> complex:
+    """M_X(s) = E e^{sX} = M_B(s) exp(lam int_0^s (M_B(u) - 1)/u du) for A ~ Beta(lam, 1), at complex s.
 
-    The exponent's quadrature asks B's MGF for each bisection's nodes in one array call.
+    For a two-sided hyperexponential B (`B.exp_weights()`) the exponent is closed in logs:
+    M_X(s) = M_B(s) prod (1 - s/r_i)^{-lam alpha_i} prod (1 + s/l_j)^{-lam beta_j}, that is
+    X = B + sum Gamma(lam alpha_i, r_i) - sum Gamma(lam beta_j, l_j), and M_X is +inf off the strip
+    -min l_j < Re s < min r_i.  For another B the exponent is a quadrature (`_mgf_by_quadrature`).
     """
     if not joint.independent:
         raise PredictionRefused("the CF representation needs independent (A, B)")
@@ -404,24 +412,42 @@ def perpetuity_cf(joint: JointInput, t: float, tol: float = 1e-10) -> complex:
     B = joint.B
     if B.log1p_neg_moment_finite() is not True:
         raise PredictionRefused("E log(1 + B^-) < inf not established")
-    if t == 0.0:
+    if s == 0.0:
         return 1.0 + 0.0j
-    if t < 0.0:
-        return complex(np.conj(perpetuity_cf(joint, -t, tol)))
+    weights = B.exp_weights()
+    if weights is None:
+        return _mgf_by_quadrature(B, lam, s, tol)
+    right, left = weights
+    if not -min((l for _, l in left), default=math.inf) < s.real < min(r for _, r in right):
+        return complex(math.inf)
+    mgf_B = sum(a * r / (r - s) for a, r in right) + sum(a * l / (l + s) for a, l in left)
+    log = sum(a * cmath.log(1.0 - s / r) for a, r in right) + sum(a * cmath.log(1.0 + s / l) for a, l in left)
+    return mgf_B * cmath.exp(-lam * log)
+
+
+def _mgf_by_quadrature(B: ScalarDistribution, lam: float, s: complex, tol: float) -> complex:
+    """M_B(s) exp(lam int_0^s (M_B(u) - 1)/u du), the exponent integrated along the segment u = tau s, 0 < tau < 1.
+
+    The quadrature asks B's MGF for each bisection's nodes in one array call.
+    """
     try:
         mean_b = B.mean()
     except NoClosedForm:
         mean_b = None
 
-    def g(u):
-        # (Phi(u) - 1)/u -> i E B as u -> 0; without the mean, Phi is read at u = 1e-9
-        small = np.abs(u) < 1e-9
-        u = np.where(small, 1e-9, u)
-        out = (B.mgf(1j * u) - 1.0) / u
-        return out if mean_b is None else np.where(small, 1j * mean_b, out)
+    def g(tau):
+        # (M_B(tau s) - 1)/tau -> s E B as tau -> 0; without the mean, M_B is read at tau = 1e-9
+        small = tau < 1e-9
+        tau = np.where(small, 1e-9, tau)
+        out = (B.mgf(tau * s) - 1.0) / tau
+        return out if mean_b is None else np.where(small, s * mean_b, out)
 
-    res = integrate_finite(g, 0.0, t, tol, vectorized=True)
+    res = integrate_finite(g, 0.0, 1.0, tol, vectorized=True)
     if not res.converged:
         raise PredictionRefused("CF exponent integral did not converge", quad=res)
-    psi = B.charfn(t) * np.exp(lam * res.value)
-    return complex(psi)
+    return complex(B.mgf(s) * np.exp(lam * res.value))
+
+
+def perpetuity_cf(joint: JointInput, t: float, tol: float = 1e-10) -> complex:
+    """Psi(t) = E e^{itX} for A ~ Beta(lam, 1): the MGF of X on the imaginary axis."""
+    return perpetuity_mgf(joint, 1j * t, tol)

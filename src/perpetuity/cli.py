@@ -189,10 +189,8 @@ _THRESHOLD_KEYS = ("zeta1", "zeta2", "q")
 
 
 def _law(cfg: dict, side: str):
-    variant = _require(cfg, side + ".variant")
-    if variant not in _LAWS[side]:
-        raise ConfigError(f"{side}.variant: unknown variant {variant!r}")
-    return _LAWS[side][variant][1](cfg, side)
+    """The side's law; `_check_keys` has vetted its variant."""
+    return _LAWS[side][_require(cfg, side + ".variant")][1](cfg, side)
 
 
 def _check_keys(cfg: dict):
@@ -205,8 +203,9 @@ def _check_keys(cfg: dict):
     for side, laws in _LAWS.items():
         variant = cfg.get(side + ".variant")
         if variant is not None:
-            keys = laws[variant][0] if variant in laws else ()
-            allowed |= {side + ".variant"} | {f"{side}.{k}" for k in keys}
+            if variant not in laws:
+                raise ConfigError(f"{side}.variant: unknown variant {variant!r}")
+            allowed |= {side + ".variant"} | {f"{side}.{k}" for k in laws[variant][0]}
     for key in cfg:
         if key not in allowed:
             raise ConfigError(f"unknown config key: {key}")
@@ -293,6 +292,8 @@ def cmd_moments(cfg: dict, args) -> int:
     joint = build_joint(cfg)
     r = _number(cfg, "moments.r")
     sup = cfg.get("moments.support_unbounded")
+    if sup is not None and sup.lower() not in ("true", "false"):
+        raise ConfigError(f"moments.support_unbounded: expected true or false, got {sup!r}")
     sup_tv = None if sup is None else (sup.lower() == "true")
     verdict = dispatch_exp_moment(joint, r, sup_tv)
     _emit_json(verdict.as_dict(), _out_dir(args) / "verdict.json", args.no_timestamp)

@@ -178,9 +178,29 @@ class ScalarDistribution:
         """Pairs (c, beta) with P{D > x} = sum of c e^{-beta x} on x >= 0."""
         return None
 
+    def exp_weights(self) -> Optional[tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]]:
+        """((alpha_i, r_i), (beta_j, l_j)) when D is a two-sided hyperexponential law, with density
+        sum alpha_i r_i e^{-r_i x} on x > 0 and sum beta_j l_j e^{l_j x} on x < 0, the weights summing to 1:
+        the partial fractions of E e^{sD} = sum alpha_i r_i/(r_i - s) + sum beta_j l_j/(l_j + s).  Else None."""
+        right = self._exp_terms()
+        return None if right is None or self.support()[0] < 0.0 else (right, ())
+
     def left_tail(self) -> Optional[tuple[Optional[Callable], Optional[float]]]:
         """(y -> P{D <= y} for y < 0, its decay rate) for thm2_K; (None, None) if D >= 0, None if unknown."""
         return (None, None) if self.support()[0] >= 0.0 else None
+
+    def _prob_below(self, y):
+        """P{D < y} at each y: an atomic law sums its atoms strictly below y, a law with a density gives
+        1 - P{D > y}.  Raises NoClosedForm otherwise."""
+        at = self.atoms()
+        if at is not None:
+            vals = sorted(at)
+            cum = np.cumsum([at[v] for v in vals])
+            idx = np.searchsorted(vals, y, side="left")
+            return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+        if self.pdf(0.0) is None:
+            raise NoClosedForm(f"{type(self).__name__}: atom structure unknown")
+        return 1.0 - np.asarray(self.survival(y))
 
 
 @dataclass(frozen=True)
@@ -496,15 +516,7 @@ class Affine(ScalarDistribution):
         y = self._inverse(_as_array(x))
         if self.scale > 0:
             return self.inner.survival(y)
-        at = self.inner.atoms()
-        if at is not None:
-            vals = sorted(at)
-            cum = np.cumsum([at[v] for v in vals])
-            idx = np.searchsorted(vals, y, side="left")  # atoms strictly below y
-            return _maybe_scalar(np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0), x)
-        if self.inner.atom_at(0.0) == 0.0:
-            return _maybe_scalar(1.0 - np.asarray(self.inner.survival(y)), x)
-        raise NoClosedForm("Affine: inner atom structure unknown")
+        return _maybe_scalar(self.inner._prob_below(y), x)
 
     def pdf(self, x):
         p = self.inner.pdf(self._inverse(_as_array(x)))
@@ -617,6 +629,9 @@ class Mixture(ScalarDistribution):
     def pdf(self, x):
         return self._mix(lambda d: d.pdf(x))
 
+    def _prob_below(self, y):
+        return self._mix(lambda d: d._prob_below(y))
+
     def mgf(self, s, *, numeric_ok=True):
         with np.errstate(invalid="ignore"):  # w (inf + 0j) has a nan part, and outside the domain the MGF is inf
             total = sum(w * _as_s(d.mgf(s, numeric_ok=numeric_ok)) for w, d in self.components)
@@ -676,7 +691,9 @@ class Mixture(ScalarDistribution):
             if t.r is not _no_remainder:
                 parts.append((w, t.r))
                 margins.append(t.r_decay_margin)
-        return ExpPlusRemainder(C, b, _weighted_sum(parts), r_decay_margin=min(margins, default=1.0))
+        terms = self._exp_terms()
+        return ExpPlusRemainder(C, b, _weighted_sum(parts), r_decay_margin=min(margins, default=1.0),
+                                r_terms=None if terms is None else tuple(t for t in terms if t[1] > b))
 
     def _exp_terms(self):
         parts = [d._exp_terms() for _, d in self.components]
@@ -780,8 +797,9 @@ class Difference(ScalarDistribution):
         if inner is None or terms is None:
             return None
         b = inner.b
-        return ExpPlusRemainder(inner.C * self.right.mgf(-b), b, _exp_sum([t for t in terms if t[1] > b]),
-                                r_decay_margin=inner.r_decay_margin)
+        rest = tuple(t for t in terms if t[1] > b)
+        return ExpPlusRemainder(inner.C * self.right.mgf(-b), b, _exp_sum(rest), r_decay_margin=inner.r_decay_margin,
+                                r_terms=rest, left_terms=Difference(self.right, self.left)._exp_terms())
 
     def _exp_terms(self):
         # E e^{-beta (x + R)} = e^{-beta x} E e^{-beta R}, valid on x >= 0 only for R >= 0
@@ -789,6 +807,13 @@ class Difference(ScalarDistribution):
         if terms is None or self.right.support()[0] < 0.0:
             return None
         return tuple((c * self.right.mgf(-beta), beta) for c, beta in terms)
+
+    def exp_weights(self):
+        right, left = self._exp_terms(), Difference(self.right, self.left)._exp_terms()
+        return None if right is None or left is None else (right, left)
+
+    def _prob_below(self, y):
+        return np.asarray(Difference(self.right, self.left).survival(-y))
 
     def left_tail(self):
         """None when R - L has no closed form and L neither atoms nor a density, where its survival would raise."""
@@ -979,6 +1004,9 @@ class SurvivalDefined(ScalarDistribution):
 
     def atom_at(self, v):
         return 0.0
+
+    def _prob_below(self, y):
+        return 1.0 - np.asarray(self.survival(y))
 
     def mgf_domain(self):
         # Conservative: the exponential envelope only certifies s < decay_rate.
@@ -1185,6 +1213,9 @@ class ExpPlusRemainder:
     r_vanishes: bool = True          # lim e^{bx} r(x) = 0
     r_integrable: bool = True        # int_1^inf e^{by}/y r+(y) dy < inf (and the eps-version for r-)
     r_decay_margin: float = 1.0      # eps with |r(y)| = O(e^{-(b+eps) y})
+    # exact exponential sums for thm2_K's Frullani sums; None leaves an integral to its quadrature
+    r_terms: Optional[tuple] = None      # (c, beta) pairs with r(x) = sum c e^{-beta x}
+    left_terms: Optional[tuple] = None   # (d, l) pairs with P{B < -y} = sum d e^{-l y} on y >= 0
 
     def __post_init__(self):
         if self.C <= 0 or self.b <= 0:

@@ -240,18 +240,18 @@ joint.B.weights = 0.5,0.5
 joint.B.rates = 1,2
 """
 POWER_CORRECTED_JSON = """{
-  "constant": 0.999999999999974,
+  "constant": 1.0,
   "form": {
-    "a": 0.999999999999974,
+    "a": 1.0,
     "b": 1.0,
     "c": 1.0
   },
   "preconditions_trace": [
     "remainder vanishing and integrability asserted",
-    "remainder integral = 0.34657359028 (err 1e-11)",
+    "remainder integral by Frullani sum = 0.34657359028",
     "no left tail (B >= 0)"
   ],
-  "source": "Quadrature",
+  "source": "ClosedForm",
   "theorem": "Thm2"
 }
 """
@@ -529,6 +529,11 @@ CONFIG_REFUSALS = {
                      "degeneracy: P{A=0} > 0"),
     "A-atom-at-minus-one": ("moments", EXP_B + "joint.A.variant = pointmass\njoint.A.value = -1\nmoments.r = 0.5\n",
                             "P{|A|=1} = 1 is outside both parts of the two-sided criterion"),
+    "support_unbounded-not-a-truth-value": ("moments", HALF_A + EXP_B + "moments.r = 0.5\n"
+                                            "moments.support_unbounded = yes\n",
+                                            "moments.support_unbounded: expected true or false, got 'yes'"),
+    "unknown-A-with-its-keys": ("moments", EXP_B + "joint.A.variant = foo\njoint.A.p = 1\nmoments.r = 0.5\n",
+                                "joint.A.variant: unknown variant 'foo'"),
 }
 
 

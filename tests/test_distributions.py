@@ -211,6 +211,15 @@ def test_atom_bookkeeping_through_the_tree():
     assert Shifted(PointMass(1.0), 2.0).atom_at(3.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("x", [-2.0, -1.0, -0.5])
+def test_negated_survival_counts_an_atom_away_from_zero_only_below(x):
+    # P{-I > x} = P{I < -x} for I = 0.5 delta_1 + 0.5 Exp(1): the atom at 1 counts only when 1 < -x
+    inner = Mixture(((0.5, PointMass(1.0)), (0.5, Exponential(1.0))))
+    exact = 0.5 * (1.0 < -x) + 0.5 * (1.0 - math.exp(x))
+    assert Negated(inner).survival(x) == pytest.approx(exact, rel=1e-15, abs=0.0)
+    assert Negated(inner).survival(np.array([x]))[0] == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
 def test_e2_mixture_atom_mass_sampled():
     rng = np.random.default_rng(77)
     n = 100_000
