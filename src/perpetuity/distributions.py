@@ -720,8 +720,9 @@ class Difference(ScalarDistribution):
         Sums of exponentials on both sides: the closed form of `_exp_terms`,
         of L - R for x >= 0 and of R - L for x < 0.  An atomic R: a sum over
         its atoms.  Otherwise R needs a density, and P{R < y0} +
-        int_{y0}^{Y} S_L(x + y) f_R(y) dy is one `integrate_batch` over x, with
-        y0 = max(rlo, llo - x) on the kink.  Of the budget tol S_L(x + rlo), a
+        int_{y0}^{Y} S_L(x + y) f_R(y) dy is one `integrate_batch` over x, cut
+        at both ends of L's support: y0 = max(rlo, llo - x), and Y at most
+        lhi - x, past which S_L(x + y) is 0.  Of the budget tol S_L(x + rlo), a
         bound on the value, the part beyond Y, where S_R <= tol/2, takes one
         half and the quadrature the other, so the far tail keeps its relative
         digits.  Raises NoClosedForm, naming the x values, if an integral misses it.
@@ -741,11 +742,11 @@ class Difference(ScalarDistribution):
         from .quadrature import integrate_batch, refuse_unconverged
 
         flat = xa.reshape(-1)
-        rlo, rhi = ri.support()
-        lo = np.maximum(rlo, le.support()[0] - flat)
+        (llo, lhi), (rlo, rhi) = le.support(), ri.support()
+        lo = np.maximum(rlo, llo - flat)
         if not np.all(np.isfinite(lo)):
             raise NoClosedForm("Difference: both parts unbounded below")
-        hi = rhi if rhi < _INF else _survival_quantile(ri, 0.5 * tol, float(lo.min()))
+        hi = np.minimum(rhi if rhi < _INF else _survival_quantile(ri, 0.5 * tol, float(lo.min())), lhi - flat)
         res = integrate_batch(lambda y, i: np.asarray(le.survival(flat[i, None, None] + y)) * np.asarray(ri.pdf(y)),
                               lo, np.maximum(hi, lo), 0.5 * tol * np.asarray(le.survival(flat + rlo)))
         refuse_unconverged(res, flat, NoClosedForm, "Difference survival")

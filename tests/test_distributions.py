@@ -268,6 +268,29 @@ def test_difference_of_gammas_keeps_relative_digits_in_the_far_tail():
     assert float(d.survival(50.0)) == pytest.approx(exact, rel=1e-6, abs=0.0)
 
 
+_ATOMS_BELOW_HALF = Mixture(((0.3, PointMass(-1.0)), (0.7, PointMass(0.5))))
+_RATE = 1.9155904382257622
+
+
+@pytest.mark.parametrize("law,x,exact", [
+    # P{U - E > x} = (h - (1 - e^{-h})) / 1.5 with h = 0.5 - x, for U ~ Uniform(-1, 0.5)
+    (Difference(Uniform(-1.0, 0.5), Exponential(1.0)), 0.45, 8.196163338093390e-4),
+    (Difference(Uniform(-1.0, 0.5), Exponential(1.0)), 0.49, 3.322249944536911e-05),
+    # only the atom at 0.5 lies above x: 0.7 P{E < 0.5 - x}
+    (Difference(_ATOMS_BELOW_HALF, Exponential(_RATE)), 0.45, -0.7 * math.expm1(-0.05 * _RATE)),
+], ids=["uniform-0.45", "uniform-0.49", "atoms-0.45"])
+def test_difference_survival_near_the_top_of_a_bounded_left_part(law, x, exact):
+    # the integrand S_L(x + y) f_R(y) is 0 past y = sup L - x, a sliver the quadrature must not miss
+    assert law.survival(x) == pytest.approx(exact, rel=1e-13, abs=0.0)
+    assert law.survival(np.array([x]))[0] == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_difference_left_tail_across_the_kink_of_a_bounded_left_part():
+    # P{E - U <= -0.1} = int_0^0.9 (0.9 - e) e^{-e} de = e^{-0.9} - 0.1
+    left, _ = Difference(Exponential(1.0), Uniform(0.0, 1.0)).left_tail()
+    assert float(left(-0.1)) == pytest.approx(math.exp(-0.9) - 0.1, rel=1e-13, abs=0.0)
+
+
 def test_unconverged_difference_survival_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "_BATCH_MAX_PANELS", 8)
     with pytest.raises(NoClosedForm, match=r"Difference survival did not converge at x = "):
