@@ -512,8 +512,25 @@ class Affine(ScalarDistribution):
     def sample(self, rng, size):
         return self._map(self.inner.sample(rng, size))
 
+    def _cut(self, x):
+        """The last y (the first, for a negative scale) that _map sends to x or below: an atom of inner, drawn at its
+        image, lies above x exactly when it lies beyond y.  The inverse, or where that misses, a bisection from a few
+        ulps either side of it."""
+        sign, y = math.copysign(1.0, self.scale), np.array(self._inverse(x))
+        with np.errstate(over="ignore", invalid="ignore"):  # at an infinite x, the map of the largest float, and inf - inf
+            off = ~((self._map(y) <= x) & (self._map(np.nextafter(y, sign * _INF)) > x))
+            xo, yo = x[off], y[off]
+            d = sign * np.nan_to_num(8.0 * (np.spacing(abs(xo)) + np.spacing(abs(self.offset))) / abs(self.scale)
+                                     + np.spacing(abs(yo)))
+            inside, outside = yo - d, yo + d
+            while np.any(np.sign((mid := 0.5 * (inside + outside)) - inside) * np.sign(outside - mid) > 0):
+                ok = self._map(mid) <= xo
+                inside, outside = np.where(ok, mid, inside), np.where(ok, outside, mid)
+        y[off] = inside
+        return y
+
     def survival(self, x):
-        y = self._inverse(_as_array(x))
+        y = self._cut(_as_array(x))
         if self.scale > 0:
             return self.inner.survival(y)
         return _maybe_scalar(self.inner._prob_below(y), x)
@@ -718,8 +735,11 @@ class Difference(ScalarDistribution):
         """P{L - R > x}, all x in one pass.
 
         Sums of exponentials on both sides: the closed form of `_exp_terms`,
-        of L - R for x >= 0 and of R - L for x < 0.  An atomic R: a sum over
-        its atoms.  Otherwise R needs a density, and P{R < y0} +
+        of L - R for x >= 0 and of R - L for x < 0.  An atomic R (else L): a
+        sum over its atoms v of P{L - v > x} (of P{v - R > x}), an `Affine`
+        survival, which counts an atom on the cut as the draws do.  A `Mixture`
+        R (else L): a sum over its components, so that no integrand has a kink
+        or jump inside its range.  Otherwise R needs a density, and P{R < y0} +
         int_{y0}^{Y} S_L(x + y) f_R(y) dy is one `integrate_batch` over x, cut
         at both ends of L's support: y0 = max(rlo, llo - x), and Y at most
         lhi - x, past which S_L(x + y) is 0.  Of the budget tol S_L(x + rlo), a
@@ -733,10 +753,16 @@ class Difference(ScalarDistribution):
         if pos is not None and neg is not None:
             up, down = _exp_sum(pos), _exp_sum(neg)
             return _maybe_scalar(np.where(xa >= 0, up(np.maximum(xa, 0.0)), 1.0 - down(np.maximum(-xa, 0.0))), x)
-        at = ri.atoms()
-        if at is not None:
-            total = sum(w * np.asarray(le.survival(xa + v)) for v, w in at.items())
-            return _maybe_scalar(total, x)
+        parts = None
+        if (at := ri.atoms()) is not None:
+            parts = [(w, Affine(le, 1.0, -v)) for v, w in at.items()]
+        elif (at := le.atoms()) is not None:
+            parts = [(w, Affine(ri, -1.0, v)) for v, w in at.items()]
+        elif isinstance(ri, Mixture) or isinstance(le, Mixture):
+            parts = ([(w, Difference(le, d)) for w, d in ri.components] if isinstance(ri, Mixture)
+                     else [(w, Difference(d, ri)) for w, d in le.components])
+        if parts is not None:
+            return _maybe_scalar(sum(w * np.asarray(d.survival(xa)) for w, d in parts), x)
         if ri.pdf(0.0) is None:
             raise NoClosedForm("Difference: right part has neither atoms nor a density")
         from .quadrature import integrate_batch, refuse_unconverged

@@ -9,6 +9,7 @@ from scipy import stats
 
 from perpetuity import quadrature
 from perpetuity.distributions import (
+    Affine,
     Beta,
     Difference,
     ExpPlusRemainder,
@@ -283,6 +284,39 @@ def test_difference_survival_near_the_top_of_a_bounded_left_part(law, x, exact):
     # the integrand S_L(x + y) f_R(y) is 0 past y = sup L - x, a sliver the quadrature must not miss
     assert law.survival(x) == pytest.approx(exact, rel=1e-13, abs=0.0)
     assert law.survival(np.array([x]))[0] == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+_NEG_ATOMS = Negated(ATOMS)  # atoms at 1, -0.5 and -2
+_C = 0.5381220831028846
+
+
+def test_difference_survival_with_an_atomic_left_part_counts_each_atom():
+    # P{L - R > x} = sum w P{R < v - x} for R = -c Beta(2, 1), where P{R < t} = 1 - (t/c)^2 on [-c, 0];
+    # at x = 0.036 the atom at -0.5 puts a jump 0.002 above the integral's lower end -c
+    xs = np.array([-1.9, -0.45, 0.0359913256420504, 0.6])
+    exact = sum(w * (1.0 - np.clip((xs - v) / _C, 0.0, 1.0) ** 2) for v, w in ((1.0, 0.3), (-0.5, 0.5), (-2.0, 0.2)))
+    got = Difference(_NEG_ATOMS, Scaled(Beta(2.0, 1.0), -_C)).survival(xs)
+    np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0.0)
+
+
+def test_difference_survival_of_a_mixture_left_part_has_no_kink_inside_an_integral():
+    # the Beta part of L tops out at 1, a kink of S_L inside the range of a single integral; by mpmath at 30
+    # digits, held to the survival's own budget of 1e-10 times a bound on the value
+    law = Difference(Mixture(((2.0 / 3.0, Beta(2.0, 1.0)), (1.0 / 3.0, Exponential(1.3)))), Gamma(2.5, 1.0))
+    exact = [0.21093955268984958718, 0.10203500145609009238, 0.04691885589560526454]
+    np.testing.assert_allclose(law.survival(np.array([-0.5, -0.05, 0.3])), exact, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("scale,atom", [(1.1, 1.5), (-2.7, -1.25), (-2.7, 1.5)])
+def test_affine_survival_at_the_image_of_an_atom_counts_it_as_drawn(scale, atom):
+    # the draw of an atom a is scale * a + 1.1 in floating point; survival there must not count it,
+    # though (x - 1.1) / scale misses a by an ulp
+    inner = Mixture(((0.375, PointMass(-1.25)), (0.25, Exponential(1.0)), (0.375, PointMass(1.5))))
+    x = scale * atom + 1.1
+    y = (x - 1.1) / scale
+    exact = 0.25 * (math.exp(-max(y, 0.0)) if scale > 0 else -math.expm1(-max(y, 0.0)))
+    exact += sum(w for a, w in ((-1.25, 0.375), (1.5, 0.375)) if scale * a + 1.1 > x)
+    assert Affine(inner, scale, 1.1).survival(x) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_difference_left_tail_across_the_kink_of_a_bounded_left_part():
