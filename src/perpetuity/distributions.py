@@ -171,19 +171,32 @@ class ScalarDistribution:
 
     # -- tail shape (stated exactly, or None) ------------------------------
     def exp_tail(self) -> Optional["ExpPlusRemainder"]:
-        """P{D > x} = C e^{-bx} + r(x) on x >= 0, at the law's own rate b."""
-        return None
+        """P{D > x} = C e^{-bx} + r(x) on x >= 0, at the law's own rate b.  From `_exp_terms()`: b is the smallest
+        rate and C the sum of its coefficients, r sums the other terms and decays faster by the gap to the next rate."""
+        terms = self._exp_terms()
+        if terms is None:
+            return None
+        b = min(beta for _, beta in terms)
+        rest = tuple(t for t in terms if t[1] > b)
+        return ExpPlusRemainder(sum(c for c, beta in terms if beta == b), b, _exp_sum(rest), r_terms=rest,
+                                r_decay_margin=min((beta - b for _, beta in rest), default=1.0),
+                                left_terms=self._left_terms())
 
     def _exp_terms(self) -> Optional[tuple[tuple[float, float], ...]]:
         """Pairs (c, beta) with P{D > x} = sum of c e^{-beta x} on x >= 0."""
         return None
+
+    def _left_terms(self) -> Optional[tuple[tuple[float, float], ...]]:
+        """Pairs (d, l) with P{D < -y} = sum of d e^{-l y} on y >= 0: none when D >= 0, else None."""
+        return () if self.support()[0] >= 0.0 else None
 
     def exp_weights(self) -> Optional[tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]]:
         """((alpha_i, r_i), (beta_j, l_j)) when D is a two-sided hyperexponential law, with density
         sum alpha_i r_i e^{-r_i x} on x > 0 and sum beta_j l_j e^{l_j x} on x < 0, the weights summing to 1:
         the partial fractions of E e^{sD} = sum alpha_i r_i/(r_i - s) + sum beta_j l_j/(l_j + s).  Else None."""
         right = self._exp_terms()
-        return None if right is None or self.support()[0] < 0.0 else (right, ())
+        left = None if right is None else self._left_terms()
+        return None if left is None else (right, left)
 
     def left_tail(self) -> Optional[tuple[Optional[Callable], Optional[float]]]:
         """(y -> P{D <= y} for y < 0, its decay rate) for thm2_K; (None, None) if D >= 0, None if unknown."""
@@ -281,9 +294,6 @@ class Exponential(ScalarDistribution):
 
     def mgf_pole(self):
         return (self.rate, 1.0)
-
-    def exp_tail(self):
-        return ExpPlusRemainder(C=1.0, b=self.rate)
 
     def _exp_terms(self):
         return ((1.0, self.rate),)
@@ -685,8 +695,10 @@ class Mixture(ScalarDistribution):
         return self._mix(lambda d: d.log_abs_moment())
 
     def exp_tail(self):
-        """Components at rate b add w C and w r; a faster one (MGF finite past b) adds its whole survival to r,
-        as its closed exponential sum when it has one."""
+        """An exponential sum's, as any law states it.  Else components at rate b add w C and w r; a faster one
+        (MGF finite past b) adds its whole survival to r, as its closed exponential sum when it has one."""
+        if (tail := super().exp_tail()) is not None:
+            return tail
         b = self.mgf_domain()[1]
         if b == _INF:
             return None
@@ -708,9 +720,7 @@ class Mixture(ScalarDistribution):
             if t.r is not _no_remainder:
                 parts.append((w, t.r))
                 margins.append(t.r_decay_margin)
-        terms = self._exp_terms()
-        return ExpPlusRemainder(C, b, _weighted_sum(parts), r_decay_margin=min(margins, default=1.0),
-                                r_terms=None if terms is None else tuple(t for t in terms if t[1] > b))
+        return ExpPlusRemainder(C, b, _weighted_sum(parts), r_decay_margin=min(margins, default=1.0))
 
     def _exp_terms(self):
         parts = [d._exp_terms() for _, d in self.components]
@@ -749,9 +759,8 @@ class Difference(ScalarDistribution):
         """
         le, ri = self.left, self.right
         xa = _as_array(x)
-        pos, neg = self._exp_terms(), Difference(ri, le)._exp_terms()
-        if pos is not None and neg is not None:
-            up, down = _exp_sum(pos), _exp_sum(neg)
+        if (weights := self.exp_weights()) is not None:
+            up, down = map(_exp_sum, weights)
             return _maybe_scalar(np.where(xa >= 0, up(np.maximum(xa, 0.0)), 1.0 - down(np.maximum(-xa, 0.0))), x)
         parts = None
         if (at := ri.atoms()) is not None:
@@ -818,16 +827,6 @@ class Difference(ScalarDistribution):
         rlo, rhi = self.right.mgf_domain()
         return (max(llo, -rhi), min(lhi, -rlo))
 
-    def exp_tail(self):
-        """P{L - R > x} = C E e^{-bR} e^{-bx} + E r_L(x + R), stated when L is a sum of exponentials."""
-        inner, terms = self.left.exp_tail(), self._exp_terms()
-        if inner is None or terms is None:
-            return None
-        b = inner.b
-        rest = tuple(t for t in terms if t[1] > b)
-        return ExpPlusRemainder(inner.C * self.right.mgf(-b), b, _exp_sum(rest), r_decay_margin=inner.r_decay_margin,
-                                r_terms=rest, left_terms=Difference(self.right, self.left)._exp_terms())
-
     def _exp_terms(self):
         # E e^{-beta (x + R)} = e^{-beta x} E e^{-beta R}, valid on x >= 0 only for R >= 0
         terms = self.left._exp_terms()
@@ -835,9 +834,8 @@ class Difference(ScalarDistribution):
             return None
         return tuple((c * self.right.mgf(-beta), beta) for c, beta in terms)
 
-    def exp_weights(self):
-        right, left = self._exp_terms(), Difference(self.right, self.left)._exp_terms()
-        return None if right is None or left is None else (right, left)
+    def _left_terms(self):
+        return Difference(self.right, self.left)._exp_terms()
 
     def _prob_below(self, y):
         return np.asarray(Difference(self.right, self.left).survival(-y))

@@ -5,7 +5,10 @@ drawn from 31) and lists its commands.  Each runs through `cli.main`
 with `--no-timestamp`; its exit code, stdout, stderr and every output
 file, with tmp_path redacted, go into one sha256 per command.  The
 digests in tests/golden/cli_digests.json were written by the code before
-the affine node replaced `Negated`, `Shifted` and `Scaled`.
+the affine node replaced `Negated`, `Shifted` and `Scaled`; the
+`tail.beta_exp` one since an exponential B's zero remainder became a
+Frullani sum of no terms (its trace line and `source` moved, not its
+constant).
 """
 
 import contextlib

@@ -303,13 +303,14 @@ def _cf_by_quadrature(joint):
 
 
 def _thm2_by_quadrature():
-    """thm2_K where it still integrates: E1's zero remainder, a gamma part's remainder, and tails given as callables."""
+    """thm2_K where it still integrates: a zero remainder that states no terms, a gamma part's remainder, and tails
+    given as callables."""
     y = lambda v: np.asarray(v, dtype=float)
     gamma_part = JointInput(Beta(2.0, 1.0), Mixture(((0.5, Exponential(1.0)), (0.5, Gamma(2.0, 3.0)))))
     hand_written = thm2_K(1.0, ExpPlusRemainder(C=7.0 / 24.0, b=1.0, r=lambda v: (5.0 / 24.0) * np.exp(-2.0 * y(v))),
                           left_tail=lambda v: (7.0 * np.exp(y(v)) + 5.0 * np.exp(2.0 * y(v))) / 24.0,
                           left_decay_hint=1.0)
-    return [get_case("E1").predict(), thm2_K(*thm2_inputs(gamma_part)), hand_written]
+    return [thm2_K(2.0, ExpPlusRemainder(C=1.0, b=1.0)), thm2_K(*thm2_inputs(gamma_part)), hand_written]
 
 _SCALAR_CASES = {
     "frullani-50": _frullani_50,
