@@ -325,6 +325,36 @@ def test_difference_left_tail_across_the_kink_of_a_bounded_left_part():
     assert float(left(-0.1)) == pytest.approx(math.exp(-0.9) - 0.1, rel=1e-13, abs=0.0)
 
 
+_POLY_EXP = VARIANTS["SurvivalDefined"]
+
+
+@pytest.mark.parametrize("x", [-6.0, -1.0, -0.25, 0.5])
+def test_negated_survival_defined_is_one_minus_its_survival(x):
+    # P{-D > x} = P{D < -x} = 1 - (1 + y)^-2 e^-y at y = -x > 0, and 0 where -x <= 0 = inf D
+    y = -x
+    exact = 1.0 - (1.0 + y) ** -2 * math.exp(-y) if y > 0 else 0.0
+    assert Negated(_POLY_EXP).survival(x) == pytest.approx(exact, rel=1e-15, abs=1e-300)
+
+
+def test_negated_difference_is_the_mirrored_difference():
+    # P{-(E - G) > x} by the mirrored difference G - E, against 1 - P{E - G > -x}: two quadratures
+    inner = Difference(Exponential(1.0), Gamma(2.0, 1.0))
+    xs = np.array([-3.0, -0.7, 0.0, 0.4, 2.5])
+    np.testing.assert_allclose(Negated(inner).survival(xs), 1.0 - inner.survival(-xs), rtol=0.0, atol=1e-9)
+
+
+def test_affine_pdf_mean_and_log_moment_follow_the_map():
+    inner = Gamma(2.5, 1.0)
+    law = Affine(inner, -0.5, 0.3)
+    xs = np.array([-2.0, -0.4, 0.1, 0.29])
+    np.testing.assert_allclose(law.pdf(xs), inner.pdf((xs - 0.3) / -0.5) / 0.5, rtol=1e-15, atol=0.0)
+    assert law.pdf(0.5) == 0.0  # above 0.3, the image of inf inner = 0
+    assert law.mean() == pytest.approx(-0.5 * 2.5 + 0.3, rel=1e-15)
+    assert Affine(Beta(2.0, 1.0), -2.0).log_abs_moment() == pytest.approx(-0.5 + math.log(2.0), rel=1e-14)
+    assert law.log_abs_moment() is None  # E log|aD + c| is not stated for an offset
+    assert Affine(PointMass(1.0), 3.0).pdf(0.3) is None  # no density to map
+
+
 def test_unconverged_difference_survival_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "_BATCH_MAX_PANELS", 8)
     with pytest.raises(NoClosedForm, match=r"Difference survival did not converge at x = "):

@@ -13,6 +13,7 @@ from perpetuity.oracle import (
     reference_survival,
     survival_from_cf,
 )
+from perpetuity.distributions import Gamma
 from perpetuity.quadrature import _NODES, _WEIGHTS_K
 from perpetuity.simulate import SimConfig
 
@@ -161,6 +162,13 @@ def test_inverted_cf_matches_fixed_panels():
     xs = np.array([-6.0, -0.5, 0.0, 1.3, 4.0, 9.5, 30.0])
     fixed = 0.5 - (np.sin(ts * xs[:, None]) * law.psi(ts) / ts * ws).sum(axis=1) / math.pi
     assert np.max(np.abs(survival_from_cf(law.psi, xs, law.T, 1e-10) - fixed)) < 1e-12
+
+
+def test_inverted_complex_cf_gives_the_gamma_survival():
+    # E1's X ~ Gamma(3, 1) has the complex Psi(t) = (1 - it)^-3; the part past T = 400 is about T^-3 / 3 = 5e-9
+    xs = np.array([0.5, 1.5, 3.0, 6.0])
+    got = survival_from_cf(lambda t: (1.0 - 1j * t) ** -3, xs, 400.0, 1e-10)
+    np.testing.assert_allclose(got, Gamma(3.0, 1.0).survival(xs), rtol=0.0, atol=1e-7)
 
 
 def test_unconverged_reference_is_refused():
