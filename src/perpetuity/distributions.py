@@ -523,11 +523,10 @@ class Affine(ScalarDistribution):
         return self._map(self.inner.sample(rng, size))
 
     def _cut(self, x):
-        """The last y (the first, for a negative scale) that _map sends to x or below: an atom of inner, drawn at its
-        image, lies above x exactly when it lies beyond y.  The inverse, or where that misses, a bisection from a few
-        ulps either side of it."""
+        """The last y (first, for a negative scale) that _map sends to x or below, beyond which an atom of inner lies
+        exactly when its image, where it is drawn, lies above x: the inverse, or a bisection from ulps either side."""
         sign, y = math.copysign(1.0, self.scale), np.array(self._inverse(x))
-        with np.errstate(over="ignore", invalid="ignore"):  # at an infinite x, the map of the largest float, and inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite x: the largest float's image, inf - inf
             off = ~((self._map(y) <= x) & (self._map(np.nextafter(y, sign * _INF)) > x))
             xo, yo = x[off], y[off]
             d = sign * np.nan_to_num(8.0 * (np.spacing(abs(xo)) + np.spacing(abs(self.offset))) / abs(self.scale)
@@ -762,14 +761,16 @@ class Difference(ScalarDistribution):
         if (weights := self.exp_weights()) is not None:
             up, down = map(_exp_sum, weights)
             return _maybe_scalar(np.where(xa >= 0, up(np.maximum(xa, 0.0)), 1.0 - down(np.maximum(-xa, 0.0))), x)
-        parts = None
         if (at := ri.atoms()) is not None:
             parts = [(w, Affine(le, 1.0, -v)) for v, w in at.items()]
         elif (at := le.atoms()) is not None:
             parts = [(w, Affine(ri, -1.0, v)) for v, w in at.items()]
-        elif isinstance(ri, Mixture) or isinstance(le, Mixture):
-            parts = ([(w, Difference(le, d)) for w, d in ri.components] if isinstance(ri, Mixture)
-                     else [(w, Difference(d, ri)) for w, d in le.components])
+        elif isinstance(ri, Mixture):
+            parts = [(w, Difference(le, d)) for w, d in ri.components]
+        elif isinstance(le, Mixture):
+            parts = [(w, Difference(d, ri)) for w, d in le.components]
+        else:
+            parts = None
         if parts is not None:
             return _maybe_scalar(sum(w * np.asarray(d.survival(xa)) for w, d in parts), x)
         if ri.pdf(0.0) is None:
