@@ -528,6 +528,8 @@ class Affine(ScalarDistribution):
         sign, y = math.copysign(1.0, self.scale), np.array(self._inverse(x))
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite x: the largest float's image, inf - inf
             off = ~((self._map(y) <= x) & (self._map(np.nextafter(y, sign * _INF)) > x))
+            if not off.any():
+                return y
             xo, yo = x[off], y[off]
             d = sign * np.nan_to_num(8.0 * (np.spacing(abs(xo)) + np.spacing(abs(self.offset))) / abs(self.scale)
                                      + np.spacing(abs(yo)))

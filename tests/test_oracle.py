@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from perpetuity import oracle, quadrature
+from perpetuity.distributions import Gamma
 from perpetuity.oracle import (
     compare_empirical,
     get_case,
@@ -13,7 +14,6 @@ from perpetuity.oracle import (
     reference_survival,
     survival_from_cf,
 )
-from perpetuity.distributions import Gamma
 from perpetuity.quadrature import _NODES, _WEIGHTS_K
 from perpetuity.simulate import SimConfig
 
