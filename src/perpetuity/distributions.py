@@ -187,7 +187,7 @@ class ScalarDistribution:
         return None
 
     def _left_terms(self) -> Optional[tuple[tuple[float, float], ...]]:
-        """Pairs (d, l) with P{D < -y} = sum of d e^{-l y} on y >= 0: none when D >= 0, else None."""
+        """Pairs (d, l) with P{D < -y} = sum of d e^{-l y} on y >= 0; () when D >= 0, None if unknown."""
         return () if self.support()[0] >= 0.0 else None
 
     def exp_weights(self) -> Optional[tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]]:
@@ -523,8 +523,9 @@ class Affine(ScalarDistribution):
         return self._map(self.inner.sample(rng, size))
 
     def _cut(self, x):
-        """The last y (first, for a negative scale) that _map sends to x or below, beyond which an atom of inner lies
-        exactly when its image, where it is drawn, lies above x: the inverse, or a bisection from ulps either side."""
+        """The last y (the first, for a negative scale) that _map sends to x or below, so that an atom of inner, drawn
+        at its image, lies above x exactly when it lies beyond y.  The inverse where that is the point, else a bisection
+        between points a few ulps either side of it."""
         sign, y = math.copysign(1.0, self.scale), np.array(self._inverse(x))
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite x: the largest float's image, inf - inf
             off = ~((self._map(y) <= x) & (self._map(np.nextafter(y, sign * _INF)) > x))
@@ -696,8 +697,8 @@ class Mixture(ScalarDistribution):
         return self._mix(lambda d: d.log_abs_moment())
 
     def exp_tail(self):
-        """An exponential sum's, as any law states it.  Else components at rate b add w C and w r; a faster one
-        (MGF finite past b) adds its whole survival to r, as its closed exponential sum when it has one."""
+        """An exponential sum's tail is the base class's.  Otherwise components at rate b add w C and w r; a faster
+        one (MGF finite past b) adds its whole survival to r, as its closed exponential sum when it has one."""
         if (tail := super().exp_tail()) is not None:
             return tail
         b = self.mgf_domain()[1]
