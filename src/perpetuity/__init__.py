@@ -30,7 +30,6 @@ from .distributions import (
     Uniform,
     ValidationError,
     sample_pair,
-    structural_flags,
     validate_nondegeneracy,
 )
 from .quadrature import QuadResult, frullani, integrate_finite, integrate_semi_infinite

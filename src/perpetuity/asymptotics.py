@@ -203,13 +203,10 @@ def thm1_constant(joint: JointInput, tail_of_B: GammaLike, cfg: SimConfig) -> Ta
     `form` stays the one-term asymptote K0 a x^c e^{-bx}, and the trace
     says why.
     """
-    from .distributions import structural_flags
-
-    flags = structural_flags(joint)
     A = joint.A_marginal()
     _, a_hi = A.support()
     trace = []
-    if not (flags.A_positive is True and a_hi <= 1.0):
+    if not (A.positive() is True and a_hi <= 1.0):
         raise PredictionRefused("precondition P{A in (0,1]} = 1 not established")
     trace.append("P{A in (0,1]} = 1")
     if not tail_of_B.c < -1.0:
@@ -234,7 +231,7 @@ def thm1_constant(joint: JointInput, tail_of_B: GammaLike, cfg: SimConfig) -> Ta
             raise PredictionRefused("E e^{bB} 1{A=1} < 1 not established")
         denom = 1.0 - phi_b * p1
         trace.append(f"denominator 1 - E e^{{bB}}1{{A=1}} = {denom:.6g}")
-    if flags.log_moment_B_minus_finite is not True:
+    if joint.B.log1p_neg_moment_finite() is not True:
         raise PredictionRefused("E log(1 + B^-) < inf not established")
     trace.append("E log(1+B^-) < inf")
     batch = sample_batch(joint, cfg)
@@ -328,17 +325,22 @@ def _mgf_at_tail_rate(B: ScalarDistribution, tail_of_B: GammaLike) -> QuadResult
 # ---------------------------------------------------------------------------
 
 def thm2_inputs(joint: JointInput) -> tuple[float, ExpPlusRemainder, Optional[Callable], Optional[float]]:
-    """(lam, tail, left_tail, left_decay_hint) for thm2_K, asked of the tree; refused, naming the first missing one."""
+    """(lam, tail, left_tail, left_decay_hint) for thm2_K, asked of the tree; refused, naming the first missing one.
+
+    For B >= 0 there is no left tail, (None, None).  Otherwise left_tail is `B.prob_below`, and the hint B's left
+    decay rate, -(lower end of `mgf_domain()`), where that is finite and positive, else 1.
+    """
     lam = joint.A.beta_lam() if joint.independent else None
     if lam is None:
         raise PredictionRefused("A is not a Beta(lam, 1) law")
-    tail = joint.B.exp_tail()
+    B = joint.B
+    tail = B.exp_tail()
     if tail is None:
         raise PredictionRefused("no exponential-plus-remainder model for B")
-    left = joint.B.left_tail()
-    if left is None:
-        raise PredictionRefused("no left-tail handle for B")
-    return (lam, tail, *left)
+    if B.support()[0] >= 0.0:
+        return (lam, tail, None, None)
+    rate = -B.mgf_domain()[0]
+    return (lam, tail, B.prob_below, rate if 0.0 < rate < math.inf else 1.0)
 
 
 def thm2_K(lam: float, tail: ExpPlusRemainder,
@@ -347,11 +349,12 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
            tol: float = 1e-10) -> TailPrediction:
     """Predicted tail K x^{lam C} e^{-bx}, K = (C b^{C lam} / Gamma(C lam + 1)) exp(lam (right - left)).
 
-    right = int_0^inf (e^{by} - 1)/y r(y) dy, left = int_0^inf (1 - e^{-by})/y P{B <= -y} dy.  Each is a
+    right = int_0^inf (e^{by} - 1)/y r(y) dy, left = int_0^inf (1 - e^{-by})/y P{B < -y} dy.  Each is a
     Frullani sum where `tail` states it as an exponential sum (`r_terms`: sum c log(beta/(beta - b));
-    `left_terms`: sum d log(1 + b/l)), else a quadrature: `left_tail(y)` is P{B <= y} for y < 0 (omit for
-    nonnegative B), taken in the reflected variable so both integrals share the semi-infinite routine,
-    and `tail.r` and `left_tail` are called on 1-d arrays of nodes, one call per bisection.
+    `left_terms`: sum d log(1 + b/l)), else a quadrature: `left_tail` is y -> P{B < y} for y < 0 (omit for
+    nonnegative B; an atom does not change the integral), taken in the reflected variable so both integrals
+    share the semi-infinite routine, and `tail.r` and `left_tail` are called on 1-d arrays of nodes, one call
+    per bisection.  An integrand that raises NoClosedForm refuses, naming its integral.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -368,7 +371,10 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
             value = sum(c * log_factor(rate) for c, rate in terms)
             trace.append(f"{name} integral by Frullani sum = {value:.12g}")
             return value
-        res = integrate_semi_infinite(integrand, 0.0, tol, hint, vectorized=True)
+        try:
+            res = integrate_semi_infinite(integrand, 0.0, tol, hint, vectorized=True)
+        except NoClosedForm as err:
+            raise PredictionRefused(f"{name} integrand has no closed form: {err}") from err
         if not res.converged:
             raise PredictionRefused(f"{name} integral did not converge", quad=res)
         trace.append(f"{name} integral = {res.value:.12g} (err {res.abs_error_estimate:.2g})")
@@ -379,7 +385,7 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
                      lambda y: expm1_over(b, y) * np.asarray(tail.r(y), dtype=float),
                      max(tail.r_decay_margin, 1e-3))
     if left_tail is not None:
-        # -(e^{-by}-1)/y * P{B <= -y}, the y -> -y image of the original
+        # -(e^{-by}-1)/y * P{B < -y}, the y -> -y image of the original
         left = integral("left-tail", tail.left_terms, lambda l: math.log1p(b / l),
                         lambda y: -expm1_over(-b, y) * np.asarray(left_tail(-y), dtype=float),
                         left_decay_hint if left_decay_hint is not None else b)
@@ -396,7 +402,7 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
 # The transform of X: E e^{sX} and the characteristic function
 # ---------------------------------------------------------------------------
 
-def perpetuity_mgf(joint: JointInput, s, tol: float = 1e-10) -> complex:
+def perpetuity_mgf(joint: JointInput, s) -> complex:
     """M_X(s) = E e^{sX} = M_B(s) exp(lam int_0^s (M_B(u) - 1)/u du) for A ~ Beta(lam, 1), at complex s.
 
     For a two-sided hyperexponential B (`B.exp_weights()`) the exponent is closed in logs:
@@ -416,7 +422,7 @@ def perpetuity_mgf(joint: JointInput, s, tol: float = 1e-10) -> complex:
         return 1.0 + 0.0j
     weights = B.exp_weights()
     if weights is None:
-        return _mgf_by_quadrature(B, lam, s, tol)
+        return _mgf_by_quadrature(B, lam, s, 1e-10)
     right, left = weights
     if not -min((l for _, l in left), default=math.inf) < s.real < min(r for _, r in right):
         return complex(math.inf)
@@ -448,6 +454,6 @@ def _mgf_by_quadrature(B: ScalarDistribution, lam: float, s: complex, tol: float
     return complex(B.mgf(s) * np.exp(lam * res.value))
 
 
-def perpetuity_cf(joint: JointInput, t: float, tol: float = 1e-10) -> complex:
+def perpetuity_cf(joint: JointInput, t: float) -> complex:
     """Psi(t) = E e^{itX} for A ~ Beta(lam, 1): the MGF of X on the imaginary axis."""
-    return perpetuity_mgf(joint, 1j * t, tol)
+    return perpetuity_mgf(joint, 1j * t)

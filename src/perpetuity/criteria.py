@@ -28,7 +28,6 @@ from .distributions import (
     JointInput,
     NoClosedForm,
     ScalarDistribution,
-    structural_flags,
     validate_nondegeneracy,
 )
 
@@ -153,11 +152,18 @@ def _integrate_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
 
 def prove_support_unbounded(joint: JointInput):
     """Right-unboundedness of the law of X for simple cases; None if undecided."""
-    if not structural_flags(joint).A_positive:
+    A = joint.A_marginal()
+    if not A.positive():
         return None
     if joint.B.support()[1] == _INF:
         return True
-    return False if joint.A_marginal().support()[1] < 1.0 else None
+    return False if A.support()[1] < 1.0 else None
+
+
+def _within_unit(A: ScalarDistribution) -> bool:
+    """P{|A| <= 1} = 1, read off the support."""
+    lo, hi = A.support()
+    return not (lo < -1.0 or hi > 1.0)
 
 
 def _check(name: str, holds, witness=None) -> Condition:
@@ -203,14 +209,15 @@ def exp_moment_criterion_positiveA(joint: JointInput, r: float, support_unbounde
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    if structural_flags(joint).A_positive is not True:
+    A = joint.A_marginal()
+    if A.positive() is not True:
         raise DispatchError("A is not a.s. positive; use the mixed-sign criterion")
     _require_nondegenerate(joint)
     if support_unbounded_right is None:
         support_unbounded_right = prove_support_unbounded(joint)
 
     name = "positive-A exponential-moment criterion"
-    a_hi = joint.A_marginal().support()[1]
+    a_hi = A.support()[1]
     c_bound = a_hi <= 1.0
     trace = [_check("P{A<=1}=1", c_bound, a_hi)]
     c_mgf, c_atom, w = _b_moment_conditions(joint, r, trace)
@@ -237,18 +244,20 @@ def exp_moment_criterion_mixedA(joint: JointInput, r: float) -> MomentVerdict:
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    flags = structural_flags(joint)
-    if flags.p_A_eq_neg1 is None or flags.p_A_eq_neg1 > 0:
+    A = joint.A_marginal()
+    pm1 = A.atom_at(-1.0)
+    if pm1 is None or pm1 > 0:
         raise DispatchError("P{A=-1} > 0: use the two-sided (absolute-moment) criterion")
-    if flags.p_A_neg is None or flags.p_A_neg == 0:
+    p_neg = A.prob_negative()
+    if p_neg is None or p_neg == 0:
         raise DispatchError("A has no negative part; use the positive-A criterion")
     _require_nondegenerate(joint)
 
-    A = joint.A_marginal()
-    trace = [_check("P{|A|<=1}=1", flags.A_bounded_by_1, A.support())]
+    within = _within_unit(A)
+    trace = [_check("P{|A|<=1}=1", within, A.support())]
     name = "mixed-sign-A exponential-moment criterion"
 
-    if flags.p_A_neg == 1.0:
+    if p_neg == 1.0:
         # all-negative A: need E e^{r(B1 + A1 B2)} = phi(r) * E phi(rA) < inf
         phi = _mgf_closed(joint.B, r)
         c, witness = None, None
@@ -261,14 +270,15 @@ def exp_moment_criterion_mixedA(joint: JointInput, r: float) -> MomentVerdict:
             witness = phi * val if c and val is not None else None
         trace.append(_check("E e^{r(B1+A1B2)} < inf", c, witness))
         # this condition decides before the bound: an unknown one leaves P{|A|<=1}=1 unread
-        return _decide([c, flags.A_bounded_by_1] if c else [c], name, trace)
+        return _decide([c, within] if c else [c], name, trace)
 
-    trace.append(_check("B >= 0 a.s.", flags.B_nonneg, joint.B.support()))
-    if flags.B_nonneg is not True:
+    b_nonneg = joint.B.support()[0] >= 0.0
+    trace.append(_check("B >= 0 a.s.", b_nonneg, joint.B.support()))
+    if not b_nonneg:
         trace.append(_check("criterion open for two-sided B with mixed-sign A", None))
         return _decide([None], name, trace)
     c_mgf, c_atom, _ = _b_moment_conditions(joint, r, trace)
-    return _decide([flags.A_bounded_by_1, c_mgf, c_atom], name, trace)
+    return _decide([within, c_mgf, c_atom], name, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +296,13 @@ def two_sided_criterion_AIR(joint: JointInput, r: float) -> MomentVerdict:
     """Finiteness of E e^{r|X|} (and, with P{A=-1}>0, of E e^{rX})."""
     if r <= 0:
         raise ValueError("r must be positive")
-    flags = structural_flags(joint)
+    A = joint.A_marginal()
     _require_nondegenerate(joint)
-    p1 = flags.p_A_eq_1
-    pm1 = flags.p_A_eq_neg1
+    p1, pm1 = A.atom_at(1.0), A.atom_at(-1.0)
     if p1 is None or pm1 is None:
         raise DispatchError("atoms of A at +-1 not symbolically derivable")
-    a_lo, a_hi = joint.A_marginal().support()
+    a_lo, a_hi = A.support()
+    within = _within_unit(A)
     phi_p = _mgf_closed(joint.B, r)
     phi_m = _mgf_closed(joint.B, -r)
     c_absB = None if phi_p is None or phi_m is None else (phi_p < _INF and phi_m < _INF)
@@ -300,18 +310,17 @@ def two_sided_criterion_AIR(joint: JointInput, r: float) -> MomentVerdict:
     trace = [_check("E e^{r|B|} < inf", c_absB, (phi_m, phi_p))]
 
     if p1 + pm1 == 0.0:
-        c_contr = -1.0 <= a_lo and a_hi <= 1.0
-        trace.insert(0, _check("P{|A|<1}=1", c_contr, (a_lo, a_hi)))
-        return _decide([c_contr, c_absB], name + " (no unit atoms)", trace)
+        trace.insert(0, _check("P{|A|<1}=1", within, (a_lo, a_hi)))
+        return _decide([within, c_absB], name + " (no unit atoms)", trace)
     if not 0.0 < p1 + pm1 < 1.0:
         raise DispatchError("P{|A|=1} = 1 is outside both parts of the two-sided criterion")
 
     name += " (unit atoms)"
-    trace.insert(0, _check("P{|A|<=1}=1", flags.A_bounded_by_1, (a_lo, a_hi)))
+    trace.insert(0, _check("P{|A|<=1}=1", within, (a_lo, a_hi)))
     if not joint.independent or c_absB is None:  # an unknown inequality decides before the bound
         trace.append(_check("unit-atom inequality", None))
         return MomentVerdict(INCONCLUSIVE, name, trace)
-    conds = [flags.A_bounded_by_1, c_absB]
+    conds = [within, c_absB]
     if c_absB:
         c_ineq, witness = _unit_atom_inequality(phi_m, phi_p, p1, pm1)
         trace.append(_check("E e^{-rB}1{A=-1} E e^{rB}1{A=-1} < (1-E e^{-rB}1{A=1})(1-E e^{rB}1{A=1})",
@@ -330,16 +339,14 @@ def prop_main_part1(joint: JointInput, r: float) -> MomentVerdict:
         raise ValueError("r must be positive")
     if not joint.independent:
         raise DispatchError("the E psi(rA) criterion assumes independent A and B")
-    flags = structural_flags(joint)
     A = joint.A
     B = joint.B
     a_lo, a_hi = A.support()
-    p1 = flags.p_A_eq_1
-    pm1 = flags.p_A_eq_neg1
+    p1, pm1 = A.atom_at(1.0), A.atom_at(-1.0)
     if p1 is not None and p1 >= 1.0:
         raise DispatchError("P{A=1} must be < 1")
 
-    if flags.A_positive is True and a_hi <= 1.0:
+    if A.positive() is True and a_hi <= 1.0:
         part, trace = "(a)", [_check("P{A in (0,1]}=1", True, (a_lo, a_hi))]
         if p1 == 0.0:
             label, (c, witness) = "E phi(rA) < inf", _phi_rA(A, B, r)
@@ -349,8 +356,8 @@ def prop_main_part1(joint: JointInput, r: float) -> MomentVerdict:
             label, witness = "phi(r) P{A=1} < 1", None if c is None or phi == _INF else phi * p1
     elif a_hi <= 0.0 and a_lo >= -1.0 and pm1 == 0.0 and A.atom_at(0.0) == 0.0:
         part, trace = "(b)", [_check("P{A in (-1,0)}=1", True, (a_lo, a_hi))]
-        label, c, witness = _str_condition(A, B, r, flags.B_nonpos, trace)
-    elif pm1 is not None and 0.0 < pm1 < 1.0 and flags.A_bounded_by_1 is True and A.atom_at(0.0) == 0.0:
+        label, c, witness = _str_condition(A, B, r, trace)
+    elif pm1 is not None and 0.0 < pm1 < 1.0 and _within_unit(A) and A.atom_at(0.0) == 0.0:
         part, trace = "(c)", [_check("P{|A| in (0,1]}=1 and P{A=-1} in (0,1)", True, pm1)]
         phi_p = _mgf_closed(B, r)
         phi_m = _mgf_closed(B, -r)
@@ -373,7 +380,7 @@ def _phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
     return {"finite": True, "infinite": False, "unknown": None}[status], val
 
 
-def _str_condition(A: ScalarDistribution, B: ScalarDistribution, r: float, B_nonpos, trace: list):
+def _str_condition(A: ScalarDistribution, B: ScalarDistribution, r: float, trace: list):
     """(label, truth value, witness) of E e^{r A1 (B2 + A2 B3)} < inf for P{A in (-1,0)} = 1."""
     label = "E e^{rA1(B2+A2B3)} < inf"
     atoms = A.atoms()
@@ -392,7 +399,7 @@ def _str_condition(A: ScalarDistribution, B: ScalarDistribution, r: float, B_non
             for wj, phi_ij in zip(atoms.values(), phis[1:]):
                 total += wi * wj * phis[0] * phi_ij
         return label, True, total
-    if B_nonpos is True:
+    if B.support()[1] <= 0.0:
         trace.append(_check("B <= 0: reduces to E phi(rA) < inf", True))
         return ("E phi(rA) < inf", *_phi_rA(A, B, r))
     return label, None, "no closed form for this A"
@@ -404,11 +411,13 @@ def _str_condition(A: ScalarDistribution, B: ScalarDistribution, r: float, B_non
 
 def dispatch_exp_moment(joint: JointInput, r: float, support_unbounded_right=None) -> MomentVerdict:
     """Route a finiteness query for E e^{rX} to the applicable criterion."""
-    flags = structural_flags(joint)
-    if flags.A_positive is True:
+    A = joint.A_marginal()
+    if A.positive() is True:
         return exp_moment_criterion_positiveA(joint, r, support_unbounded_right)
-    if flags.p_A_eq_neg1 is not None and flags.p_A_eq_neg1 > 0:
+    pm1 = A.atom_at(-1.0)
+    if pm1 is not None and pm1 > 0:
         return two_sided_criterion_AIR(joint, r)
-    if flags.p_A_neg is not None and flags.p_A_neg > 0:
+    p_neg = A.prob_negative()
+    if p_neg is not None and p_neg > 0:
         return exp_moment_criterion_mixedA(joint, r)
     return _decide([None], "none", [_check("sign structure of A", None, "no applicable criterion")])

@@ -3,12 +3,13 @@
 Every marginal law is a small expression tree of `ScalarDistribution`
 variants.  The tree supports vectorized sampling, closed-form survival
 and MGF evaluation where available, and purely symbolic structural
-queries (atoms, support, sign information, MGF domain).  Each law states
-one transform, `mgf(s)`, for complex s on its strip (Re s inside
-`mgf_domain()`); the characteristic function is `mgf(1j*t)`, once, on
-the base class.  Nothing structural is ever inferred from samples: a
-query that cannot be resolved symbolically answers ``None`` ("unknown")
-and callers must treat unknown as not-satisfied.
+queries (atoms, support, the sign facts `positive` and `prob_negative`,
+MGF domain).  The left CDF P{D < y} is one fact, `prob_below`.  Each
+law states one transform, `mgf(s)`, for complex s on its strip (Re s
+inside `mgf_domain()`); the characteristic function is `mgf(1j*t)`,
+once, on the base class.  Nothing structural is ever inferred from
+samples: a query that cannot be resolved symbolically answers ``None``
+("unknown") and callers must treat unknown as not-satisfied.
 """
 
 from __future__ import annotations
@@ -41,11 +42,9 @@ __all__ = [
     "SurvivalDefined",
     "ThresholdDependent",
     "JointInput",
-    "StructuralFlags",
     "GammaLike",
     "ExpPlusRemainder",
     "sample_pair",
-    "structural_flags",
     "validate_nondegeneracy",
 ]
 
@@ -75,6 +74,13 @@ def _maybe_scalar(out, x):
     if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
         return float(out) if not np.iscomplexobj(out) else np.asarray(out).item()
     return out
+
+
+def _prob_gt(d: "ScalarDistribution", x: float) -> Optional[float]:
+    try:
+        return float(np.asarray(d.survival(x)))
+    except NoClosedForm:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +149,19 @@ class ScalarDistribution:
         """Open interval on which the MGF is certainly finite (conservative)."""
         raise NotImplementedError
 
+    def positive(self) -> Optional[bool]:
+        """Whether P{D > 0} = 1: read off the support's lower end, and off the atom at 0 when that end is 0."""
+        lo = self.support()[0]
+        if lo != 0.0:
+            return lo > 0.0
+        a0 = self.atom_at(0.0)
+        return None if a0 is None else a0 == 0.0
+
+    def prob_negative(self) -> Optional[float]:
+        """P{D < 0} as 1 - P{D > 0} - P{D = 0}, exactly 1.0 for an all-negative atomic law; None if unknown."""
+        s0, a0 = _prob_gt(self, 0.0), self.atom_at(0.0)
+        return None if s0 is None or a0 is None else max(0.0, 1.0 - s0 - a0)
+
     def log_abs_moment(self) -> Optional[float]:
         """E log|D| in closed form where available."""
         return None
@@ -198,12 +217,8 @@ class ScalarDistribution:
         left = None if right is None else self._left_terms()
         return None if left is None else (right, left)
 
-    def left_tail(self) -> Optional[tuple[Optional[Callable], Optional[float]]]:
-        """(y -> P{D <= y} for y < 0, its decay rate) for thm2_K; (None, None) if D >= 0, None if unknown."""
-        return (None, None) if self.support()[0] >= 0.0 else None
-
-    def _prob_below(self, y):
-        """P{D < y} at each y: an atomic law sums its atoms strictly below y, a law with a density gives
+    def prob_below(self, y):
+        """P{D < y} (strict) at each y: an atomic law sums its atoms strictly below y, a law with a density gives
         1 - P{D > y}.  Raises NoClosedForm otherwise."""
         at = self.atoms()
         if at is not None:
@@ -545,7 +560,7 @@ class Affine(ScalarDistribution):
         y = self._cut(_as_array(x))
         if self.scale > 0:
             return self.inner.survival(y)
-        return _maybe_scalar(self.inner._prob_below(y), x)
+        return _maybe_scalar(self.inner.prob_below(y), x)
 
     def pdf(self, x):
         p = self.inner.pdf(self._inverse(_as_array(x)))
@@ -658,8 +673,8 @@ class Mixture(ScalarDistribution):
     def pdf(self, x):
         return self._mix(lambda d: d.pdf(x))
 
-    def _prob_below(self, y):
-        return self._mix(lambda d: d._prob_below(y))
+    def prob_below(self, y):
+        return self._mix(lambda d: d.prob_below(y))
 
     def mgf(self, s, *, numeric_ok=True):
         with np.errstate(invalid="ignore"):  # w (inf + 0j) has a nan part, and outside the domain the MGF is inf
@@ -841,17 +856,8 @@ class Difference(ScalarDistribution):
     def _left_terms(self):
         return Difference(self.right, self.left)._exp_terms()
 
-    def _prob_below(self, y):
+    def prob_below(self, y):
         return np.asarray(Difference(self.right, self.left).survival(-y))
-
-    def left_tail(self):
-        """None when R - L has no closed form and L neither atoms nor a density, where its survival would raise."""
-        neg = Difference(self.right, self.left)
-        terms, hint = neg._exp_terms(), self.right.mgf_domain()[1]
-        if terms is None and self.left.atoms() is None and self.left.pdf(0.0) is None:
-            return None
-        down = neg.survival if terms is None else _exp_sum(terms)
-        return (lambda y: np.asarray(down(-_as_array(y))), hint if hint < _INF else 1.0)
 
 
 def _survival_quantile(d: ScalarDistribution, p: float, y: float) -> float:
@@ -1034,7 +1040,7 @@ class SurvivalDefined(ScalarDistribution):
     def atom_at(self, v):
         return 0.0
 
-    def _prob_below(self, y):
+    def prob_below(self, y):
         return 1.0 - np.asarray(self.survival(y))
 
     def mgf_domain(self):
@@ -1108,64 +1114,8 @@ def sample_pair(joint: JointInput, rng: np.random.Generator, size: int):
 
 
 # ---------------------------------------------------------------------------
-# Structural flags and nondegeneracy
+# Nondegeneracy
 # ---------------------------------------------------------------------------
-
-@dataclass
-class StructuralFlags:
-    p_A_eq_1: Optional[float]
-    p_A_eq_neg1: Optional[float]
-    p_A_neg: Optional[float]
-    A_bounded_by_1: Optional[bool]
-    A_positive: Optional[bool]
-    B_nonneg: Optional[bool]
-    B_nonpos: Optional[bool]
-    log_moment_B_minus_finite: Optional[bool]
-
-
-def _prob_gt(d: ScalarDistribution, x: float) -> Optional[float]:
-    try:
-        return float(np.asarray(d.survival(x)))
-    except NoClosedForm:
-        return None
-
-
-def structural_flags(joint: JointInput) -> StructuralFlags:
-    """All theorem-precondition flags, derived symbolically from the trees."""
-    A = joint.A_marginal()
-    B = joint.B
-    a_lo, a_hi = A.support()
-    b_lo, b_hi = B.support()
-    p1 = A.atom_at(1.0)
-    pm1 = A.atom_at(-1.0)
-    a0 = A.atom_at(0.0)
-    s0 = _prob_gt(A, 0.0)
-    p_neg = None
-    if s0 is not None and a0 is not None:
-        p_neg = max(0.0, 1.0 - s0 - a0)
-    if a_hi > 1.0 or a_lo < -1.0:
-        bounded_by_1 = False
-    else:
-        bounded_by_1 = True
-    if a_lo > 0.0:
-        positive = True
-    elif a_lo < 0.0:
-        positive = False
-    elif a0 is None:
-        positive = None
-    else:
-        positive = a0 == 0.0
-    return StructuralFlags(
-        p_A_eq_1=p1,
-        p_A_eq_neg1=pm1,
-        p_A_neg=p_neg,
-        A_bounded_by_1=bounded_by_1,
-        A_positive=positive,
-        B_nonneg=b_lo >= 0.0,
-        B_nonpos=b_hi <= 0.0,
-        log_moment_B_minus_finite=B.log1p_neg_moment_finite(),
-    )
-
 
 @dataclass
 class NondegeneracyReport:

@@ -174,7 +174,7 @@ class ConvergenceVerdict:
     evidence: list = field(default_factory=list)
 
 
-def check_convergence(joint: JointInput, mc_seed: int = 20_240_901) -> ConvergenceVerdict:
+def check_convergence(joint: JointInput) -> ConvergenceVerdict:
     """E log|A| < 0 and E log(1+|B|) < inf imply a.s. convergence of the series."""
     A = joint.A_marginal()
     B = joint.B
@@ -182,7 +182,7 @@ def check_convergence(joint: JointInput, mc_seed: int = 20_240_901) -> Convergen
     ela = A.log_abs_moment()
     source = "symbolic"
     if ela is None:
-        rng = np.random.default_rng(mc_seed)
+        rng = np.random.default_rng(20_240_901)
         draws = np.log(np.abs(A.sample(rng, 100_000)) + 1e-300)
         ela = float(draws.mean())
         se = float(draws.std(ddof=1) / math.sqrt(draws.size))
@@ -229,8 +229,9 @@ def empirical_tail(batch: SampleBatch, xs) -> list[TailEstimate]:
     return out
 
 
-def median_of_means(values: np.ndarray, n_blocks: int = 32):
-    """Robust mean estimate; std_err from the block spread."""
+def median_of_means(values: np.ndarray):
+    """Robust mean estimate over 32 blocks; std_err from the block spread."""
+    n_blocks = 32
     v = np.asarray(values, dtype=float)
     n = v.size
     if n < n_blocks:
@@ -338,7 +339,6 @@ def stochastic_upper_bound(
     b: float,
     e_bB_at_A1: float = 0.0,
     seed: int = 71,
-    n_probe: int = 200_000,
 ) -> StochasticBound:
     """Construct (q, d, x0) so that Z = (B'+d) 1{B'>q} | Z >= x0 dominates AZ+B.
 
@@ -346,6 +346,7 @@ def stochastic_upper_bound(
     by grid search on smoothed estimates of P{AY+B>x} vs P{Y>x}.
     """
     B = joint.B
+    n_probe = 200_000
     q = 1.0
     while True:
         tail_term = _e_exp_bB_above(B, b, q)

@@ -196,14 +196,54 @@ def test_predicted_constant_lands_on_the_hand_derived_one(case_id, rel):
     (JointInput(Uniform(0.0, 0.5), Exponential(1.0)), "A is not a Beta(lam, 1) law"),
     (JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0)), "A is not a Beta(lam, 1) law"),
     (JointInput(Beta(2.0, 1.0), Gamma(2.0, 1.0)), "no exponential-plus-remainder model for B"),
-    (JointInput(Beta(2.0, 1.0), get_case("E2").joint.B), "no left-tail handle for B"),
-    # P{B <= y} would need the survival of 1.5 - (MIX_12 - Exp(4)), whose right part has neither atoms nor a density
-    (JointInput(Beta(2.0, 1.0), Difference(Difference(Mixture(((0.5, Exponential(1.0)), (0.5, Exponential(2.0)))),
-                                                      Exponential(4.0)), PointMass(1.5))), "no left-tail handle for B"),
-], ids=["uniform-A", "threshold", "gamma-B", "two-sided-mixture-B", "nested-difference-B"])
+], ids=["uniform-A", "threshold", "gamma-B"])
 def test_thm2_inputs_refuse_with_the_missing_input(joint, miss):
     with pytest.raises(PredictionRefused, match=re.escape(miss) + "$"):
         thm2_inputs(joint)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0])
+def test_K_of_the_E2_increment_reads_its_left_tail_off_prob_below(lam):
+    # M_B(u) = 1/4 + (5/12)/(1 - u) + (1/3) 2/(2 + u): C = 5/12, b = 1, no right remainder, and the left integral
+    # is (1/3) log(1 + 1/2), so K = (5/12) (3/2)^{-lam/3} / Gamma(1 + 5 lam/12)
+    pred = thm2_K(*thm2_inputs(JointInput(Beta(lam, 1.0), get_case("E2").joint.B)))
+    closed = (5.0 / 12.0) * 1.5 ** (-lam / 3.0) / math.gamma(1.0 + 5.0 * lam / 12.0)
+    assert pred.constant == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
+def test_K_of_a_two_sided_mixture_increment():
+    # B = Exp(1) w.p. 1/2, -Exp(2) w.p. 1/2, lam = 2: K = alpha b^c / Gamma(c + 1) (1 + b/2)^{-lam beta} with
+    # alpha = beta = 1/2, b = 1, c = lam alpha = 1, which is 1/3
+    B = Mixture(((0.5, Exponential(1.0)), (0.5, Negated(Exponential(2.0)))))
+    pred = thm2_K(*thm2_inputs(JointInput(Beta(2.0, 1.0), B)))
+    assert pred.constant == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
+
+
+def test_K_of_a_nested_difference_matches_a_closed_left_tail():
+    # B = (MIX_12 - Exp(4)) - 1.5: its left part is a point mass, so tail.left_terms is None and thm2_K integrates
+    # B.prob_below; by hand, P{B <= y} = (4/15) e^{4u} for u = y + 1.5 < 0, else 1 - 0.4 e^{-u} - (1/3) e^{-2u}
+    mix = Mixture(((0.5, Exponential(1.0)), (0.5, Exponential(2.0))))
+    lam, tail, left, hint = thm2_inputs(JointInput(Beta(2.0, 1.0),
+                                                   Difference(Difference(mix, Exponential(4.0)), PointMass(1.5))))
+    assert tail.left_terms is None and hint == 4.0
+
+    def closed(y):
+        u = np.asarray(y, dtype=float) + 1.5
+        return np.where(u < 0.0, (4.0 / 15.0) * np.exp(4.0 * np.minimum(u, 0.0)),
+                        1.0 - 0.4 * np.exp(-np.maximum(u, 0.0)) - np.exp(-2.0 * np.maximum(u, 0.0)) / 3.0)
+
+    want = thm2_K(lam, tail, closed, hint).constant
+    assert thm2_K(lam, tail, left, hint).constant == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert want == pytest.approx(0.01960219609505252, rel=1e-13, abs=0.0)
+
+
+def test_K_refuses_where_the_left_tail_has_no_closed_form():
+    # P{B < y} is the survival of a Difference whose right part, U(0, 1) - U(0, 0.5), has neither atoms nor a
+    # stated density: NoClosedForm inside the left-tail quadrature, which thm2_K turns into a refusal
+    B = Difference(Exponential(1.0), Difference(Shifted(Exponential(1.0), 2.0),
+                                                Difference(Uniform(0.0, 1.0), Uniform(0.0, 0.5))))
+    with pytest.raises(PredictionRefused, match="^left-tail integrand has no closed form"):
+        thm2_K(*thm2_inputs(JointInput(Beta(2.0, 1.0), B)))
 
 
 def test_thm1_constant_for_a_difference_coefficient():

@@ -28,7 +28,6 @@ from perpetuity.distributions import (
     Uniform,
     ValidationError,
     sample_pair,
-    structural_flags,
     validate_nondegeneracy,
 )
 
@@ -320,9 +319,9 @@ def test_affine_survival_at_the_image_of_an_atom_counts_it_as_drawn(scale, atom)
 
 
 def test_difference_left_tail_across_the_kink_of_a_bounded_left_part():
-    # P{E - U <= -0.1} = int_0^0.9 (0.9 - e) e^{-e} de = e^{-0.9} - 0.1
-    left, _ = Difference(Exponential(1.0), Uniform(0.0, 1.0)).left_tail()
-    assert float(left(-0.1)) == pytest.approx(math.exp(-0.9) - 0.1, rel=1e-13, abs=0.0)
+    # P{E - U < -0.1} = int_0^0.9 (0.9 - e) e^{-e} de = e^{-0.9} - 0.1
+    below = Difference(Exponential(1.0), Uniform(0.0, 1.0)).prob_below(-0.1)
+    assert float(below) == pytest.approx(math.exp(-0.9) - 0.1, rel=1e-13, abs=0.0)
 
 
 _POLY_EXP = VARIANTS["SurvivalDefined"]
@@ -433,16 +432,26 @@ def test_survival_defined_rejects_bad_handles():
         SurvivalDefined(lambda x: np.exp(np.asarray(x, dtype=float)) / math.e, 1.0, 1.0)
 
 
-def test_structural_flags_basic():
-    fl = structural_flags(JointInput(Beta(2.0, 1.0), Exponential(1.0)))
-    assert fl.A_positive is True
-    assert fl.A_bounded_by_1 is True
-    assert fl.p_A_eq_1 == 0.0
-    assert fl.B_nonneg is True
-    fl2 = structural_flags(JointInput(PointMass(-0.5), Exponential(1.0)))
-    assert fl2.A_positive is False
-    assert fl2.p_A_eq_neg1 == 0.0
-    assert fl2.p_A_neg == 1.0
+def test_sign_and_unit_atom_facts():
+    A = Beta(2.0, 1.0)
+    assert A.positive() is True
+    assert A.support() == (0.0, 1.0)
+    assert A.atom_at(1.0) == 0.0
+    assert A.prob_negative() == 0.0
+    A2 = PointMass(-0.5)
+    assert A2.positive() is False
+    assert A2.atom_at(-1.0) == 0.0
+    assert A2.prob_negative() == 1.0
+    # an all-negative atomic law: 1 - P{A > 0} - P{A = 0} is exactly 1, which the mixed-sign criterion reads
+    assert Mixture(((0.1, PointMass(-0.3)), (0.2, PointMass(-0.7)), (0.7, PointMass(-0.9)))).prob_negative() == 1.0
+    # lower end 0: positive exactly when there is no atom there
+    assert Mixture(((0.5, PointMass(0.0)), (0.5, Exponential(1.0)))).positive() is False
+    assert Uniform(0.0, 1.0).positive() is True
+    # lower end 0 and no stated atom there (no part has atoms or a density): sign and P{A < 0} unknown
+    spread = Difference(Uniform(0.0, 1.0), Uniform(0.0, 1.0))
+    unknown = Shifted(Difference(spread, spread), 2.0)
+    assert unknown.support()[0] == 0.0 and unknown.atom_at(0.0) is None
+    assert unknown.positive() is None and unknown.prob_negative() is None
 
 
 def test_nondegeneracy_flags_constant_fixed_point():

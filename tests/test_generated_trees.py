@@ -5,7 +5,9 @@ either sign with an offset, a `Mixture` of 2-3 parts (atoms and exponentials
 among them, so that some mixtures state an exponential tail) or a
 `Difference` of two subtrees.  For each tree, every fact that answers is held
 to the law's own draws or to its survival; a fact that does not answer must
-refuse with NoClosedForm or None, never another exception.
+refuse with NoClosedForm or None, never another exception.  A law that states
+an exponential tail, as B beside A ~ Beta(2, 1), gets a finite positive thm2_K
+constant or a PredictionRefused.
 """
 
 import math
@@ -15,12 +17,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perpetuity.distributions import Affine, Difference, Exponential, Mixture, NoClosedForm, PointMass
+from perpetuity.asymptotics import PredictionRefused, thm2_inputs, thm2_K
+from perpetuity.distributions import Affine, Beta, Difference, Exponential, JointInput, Mixture, NoClosedForm, PointMass
 from test_distributions import VARIANTS
 
 N_TREES = 300
 N_DRAWS = 100_000
-FACTS = ("support", "survival", "ecdf", "atoms", "exp_tail", "left_tail", "prob_below")
+FACTS = ("support", "survival", "ecdf", "atoms", "exp_tail", "prob_below", "thm2_K")
 
 _LEAF = st.sampled_from(list(VARIANTS.values()))
 _ATOM = st.builds(PointMass, st.sampled_from([-1.25, 0.0, 0.4, 1.5]))
@@ -112,21 +115,19 @@ def _check(law, reached):
         xs = GRID[GRID >= 0.0]
         check(tail.C * np.exp(-tail.b * xs) + np.asarray(tail.r(xs)), xs, rtol=1e-9)
         reached["exp_tail"] += 1
-
-    left = _ask(law.left_tail)
-    if left is not None:
-        f, hint = left
-        ys = GRID[GRID < 0.0]
-        if f is None:
-            assert lo >= 0.0 and hint is None
-            reached["left_tail"] += 1
-        elif (got := _ask(lambda: np.asarray(f(ys)))) is not None:  # the handle refuses as the survival it wraps
-            assert hint > 0.0
-            check(1.0 - got, ys)
-            reached["left_tail"] += 1
+        inputs = thm2_inputs(JointInput(Beta(2.0, 1.0), law))
+        left, hint = inputs[2:]
+        assert (left is None and hint is None) if lo >= 0.0 else hint > 0.0
+        try:
+            K = thm2_K(*inputs).constant
+        except PredictionRefused:
+            reached["thm2_K refused"] += 1
+        else:
+            assert 0.0 < K < math.inf, K
+            reached["thm2_K"] += 1
 
     # P{D < y}, which is 1 - P{D > y} off the atoms
-    below = _ask(lambda: np.asarray(law._prob_below(GRID)))
+    below = _ask(lambda: np.asarray(law.prob_below(GRID)))
     if below is not None:
         check(1.0 - below, GRID)
         reached["prob_below"] += 1
@@ -141,7 +142,7 @@ def test_generated_trees_keep_every_invariant_they_answer():
         _check(law, reached)
 
     check()
-    print("trees reaching each fact:", {f: reached[f] for f in FACTS})
+    print("trees reaching each fact:", {f: reached[f] for f in FACTS}, "thm2_K refused:", reached["thm2_K refused"])
     # every fact is reached by some drawn tree, and most trees answer survival
     assert all(reached[f] > 0 for f in FACTS), reached
     assert reached["survival"] >= N_TREES // 2, reached

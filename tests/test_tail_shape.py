@@ -1,4 +1,4 @@
-"""Tail-shape queries on the distribution tree: exp_tail, left_tail, beta_lam, mgf_pole."""
+"""Tail-shape queries on the distribution tree: exp_tail, prob_below, beta_lam, mgf_pole."""
 
 import math
 
@@ -6,12 +6,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from perpetuity.asymptotics import thm2_inputs
 from perpetuity.distributions import (
     Beta,
     Difference,
     ExpPlusRemainder,
     Exponential,
     Gamma,
+    JointInput,
     Mixture,
     Negated,
     PointMass,
@@ -115,7 +117,7 @@ def test_exp_tail_equals_the_oracle_models(case_id):
     assert got.b == want.b
     assert got.r_decay_margin == want.r_decay_margin
     np.testing.assert_allclose(np.asarray(got.r(GRID)), np.asarray(want.r(GRID)), rtol=1e-14, atol=1e-300)
-    left, hint = B.left_tail()
+    left, hint = thm2_inputs(get_case(case_id).joint)[2:]
     assert (left is None) == (want_left is None)
     assert hint == want_hint
     if left is not None:
@@ -124,13 +126,13 @@ def test_exp_tail_equals_the_oracle_models(case_id):
 
 
 def test_left_tail():
-    assert Exponential(1.0).left_tail() == (None, None)
-    assert MIX_12.left_tail() == (None, None)
-    # two-sided law with no stated left tail: unknown, not "none"
-    assert E2_B.left_tail() is None
-    left, hint = Difference(Exponential(2.0), Exponential(3.0)).left_tail()
-    assert hint == 3.0
-    assert left(-1.0) == pytest.approx((2.0 / 5.0) * math.exp(-3.0), rel=1e-12, abs=0.0)
+    for B in (Exponential(1.0), MIX_12):
+        assert thm2_inputs(JointInput(Beta(2.0, 1.0), B))[2:] == (None, None)
+    B = Difference(Exponential(2.0), Exponential(3.0))
+    left, hint = thm2_inputs(JointInput(Beta(2.0, 1.0), B))[2:]
+    assert left == B.prob_below and hint == 3.0
+    assert B.prob_below(-1.0) == pytest.approx((2.0 / 5.0) * math.exp(-3.0), rel=1e-12, abs=0.0)
+    assert Exponential(1.0).prob_below(-1.0) == 0.0
 
 
 def test_beta_lam():
