@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -212,7 +213,12 @@ class ScalarDistribution:
     def exp_weights(self) -> Optional[tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]]:
         """((alpha_i, r_i), (beta_j, l_j)) when D is a two-sided hyperexponential law, with density
         sum alpha_i r_i e^{-r_i x} on x > 0 and sum beta_j l_j e^{l_j x} on x < 0, the weights summing to 1:
-        the partial fractions of E e^{sD} = sum alpha_i r_i/(r_i - s) + sum beta_j l_j/(l_j + s).  Else None."""
+        the partial fractions of E e^{sD} = sum alpha_i r_i/(r_i - s) + sum beta_j l_j/(l_j + s).  Else None.
+        Computed once per law: a cached property is no dataclass field, so equality, hash and repr ignore it."""
+        return self._exp_weights
+
+    @cached_property
+    def _exp_weights(self):
         right = self._exp_terms()
         left = None if right is None else self._left_terms()
         return None if left is None else (right, left)
@@ -225,10 +231,10 @@ class ScalarDistribution:
             vals = sorted(at)
             cum = np.cumsum([at[v] for v in vals])
             idx = np.searchsorted(vals, y, side="left")
-            return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+            return _maybe_scalar(np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0), y)
         if self.pdf(0.0) is None:
             raise NoClosedForm(f"{type(self).__name__}: atom structure unknown")
-        return 1.0 - np.asarray(self.survival(y))
+        return _maybe_scalar(1.0 - np.asarray(self.survival(y)), y)
 
 
 @dataclass(frozen=True)
@@ -641,7 +647,8 @@ class Mixture(ScalarDistribution):
         is the count of inner cuts at or below u, which equals
         min(searchsorted(cum, u, "right"), k - 1) because cum is increasing.
         A PointMass draws nothing, so an all-atom mixture reads its values
-        off the index.
+        off the index.  Draws are placed by flat index: a boolean-mask scatter
+        branches on each element and mispredicts on about every other one.
         """
         u = rng.random(size)
         idx = np.zeros(size, dtype=np.min_scalar_type(len(self._cuts)))
@@ -651,10 +658,9 @@ class Mixture(ScalarDistribution):
             return self._atom_values[idx]
         out = np.empty(size)
         for j, (_, comp) in enumerate(self.components):
-            mask = idx == j
-            n = np.count_nonzero(mask)
-            if n:
-                out[mask] = comp.sample(rng, n)
+            at = np.flatnonzero(idx == j)
+            if at.size:
+                out[at] = comp.sample(rng, at.size)
         return out
 
     def survival(self, x):
@@ -857,7 +863,7 @@ class Difference(ScalarDistribution):
         return Difference(self.right, self.left)._exp_terms()
 
     def prob_below(self, y):
-        return np.asarray(Difference(self.right, self.left).survival(-y))
+        return Difference(self.right, self.left).survival(-y)
 
 
 def _survival_quantile(d: ScalarDistribution, p: float, y: float) -> float:
@@ -1041,7 +1047,7 @@ class SurvivalDefined(ScalarDistribution):
         return 0.0
 
     def prob_below(self, y):
-        return 1.0 - np.asarray(self.survival(y))
+        return 1.0 - self.survival(y)
 
     def mgf_domain(self):
         # Conservative: the exponential envelope only certifies s < decay_rate.
@@ -1109,7 +1115,7 @@ def sample_pair(joint: JointInput, rng: np.random.Generator, size: int):
         return a, b
     dep = joint.dependence
     b = joint.B.sample(rng, size)
-    a = np.where(b > dep.q, dep.zeta1, dep.zeta2)
+    a = np.array([dep.zeta2, dep.zeta1])[(b > dep.q).view(np.uint8)]
     return a, b
 
 

@@ -21,6 +21,7 @@ from perpetuity.distributions import (
     Negated,
     NoClosedForm,
     PointMass,
+    ScalarDistribution,
     Scaled,
     Shifted,
     SurvivalDefined,
@@ -196,6 +197,27 @@ def test_threshold_coefficient_is_a_deterministic_function_of_b():
     assert marg.atom_at(0.3) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
+class _Preset(ScalarDistribution):
+    """A B whose draws are given: values at the threshold and nan among them."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def sample(self, rng, size):
+        return self.values[:size].copy()
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_536])
+def test_threshold_coefficient_is_the_where_form_to_the_byte(size):
+    dep = ThresholdDependent(0.3, 0.7, 1.0)
+    b = np.random.default_rng(9).exponential(1.0, size)
+    b[::3], b[1::7] = dep.q, np.nan
+    a, got_b = sample_pair(JointInput(None, _Preset(b), dep), np.random.default_rng(0), size)
+    want = np.where(b > dep.q, dep.zeta1, dep.zeta2)
+    assert a.dtype == want.dtype == np.float64
+    assert a.tobytes() == want.tobytes() and got_b.tobytes() == b.tobytes()
+
+
 def test_atom_bookkeeping_through_the_tree():
     assert E2_MIXTURE.atom_at(0.0) == pytest.approx(0.25)
     d = Difference(Mixture(((0.5, PointMass(1.0)), (0.5, PointMass(3.0)))),
@@ -325,6 +347,21 @@ def test_difference_left_tail_across_the_kink_of_a_bounded_left_part():
 
 
 _POLY_EXP = VARIANTS["SurvivalDefined"]
+
+
+@pytest.mark.parametrize("law", [
+    PointMass(0.5),
+    ATOMS,
+    Exponential(1.0),
+    Difference(Exponential(1.0), Uniform(0.0, 1.0)),
+    _POLY_EXP,
+    Scaled(Exponential(1.0), -2.0),
+], ids=["PointMass", "atomic-Mixture", "Exponential", "Difference", "SurvivalDefined", "Scaled-negative"])
+@pytest.mark.parametrize("y", [-1.5, -0.1, 0.5, 2.0])
+def test_prob_below_of_a_scalar_is_a_float_with_the_array_bits(law, y):
+    got = law.prob_below(y)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.asarray(law.prob_below(np.array([y])), dtype=float)[:1].tobytes()
 
 
 @pytest.mark.parametrize("x", [-6.0, -1.0, -0.25, 0.5])

@@ -11,10 +11,12 @@ import pytest
 
 from perpetuity.distributions import (
     Exponential,
+    Gamma,
     JointInput,
     Mixture,
     Negated,
     PointMass,
+    SurvivalDefined,
 )
 from perpetuity.oracle import get_case
 from perpetuity.simulate import CHUNK, SimConfig, sample_batch
@@ -34,6 +36,8 @@ def _searchsorted_sample(self, rng, size):
     return out
 
 
+POLY_EXP = SurvivalDefined(lambda x: (1.0 + np.asarray(x, dtype=float)) ** -2 * np.exp(-np.asarray(x, dtype=float)),
+                           0.0, 1.0, "poly-exp")
 ATOMS_EXP_A = Mixture(((0.5, PointMass(0.25)), (0.5, PointMass(0.75))))
 LAWS = {
     "two-atom": ATOMS_EXP_A,
@@ -50,6 +54,15 @@ LAWS = {
     )),
     "one-atom-nested": Mixture(((0.5, Mixture(((1.0, PointMass(-1.0)),))), (0.5, PointMass(2.0)))),
     "sum-below-1": Mixture(((0.3, Exponential(1.0)), (0.2, PointMass(3.0)), (0.5 - 5e-13, Negated(Exponential(2.0))))),
+    "gamma-part": Mixture(((0.6, Gamma(2.5, 1.0)), (0.4, Exponential(3.0)))),
+    # the inversion-table sampler
+    "survival-defined-part": Mixture(((0.45, POLY_EXP), (0.55, Negated(Exponential(1.0))))),
+    # component 3 is empty at most sizes
+    "six-with-a-tiny-weight": Mixture((
+        (0.2, Exponential(1.0)), (0.2, PointMass(0.5)), (0.3 - 1e-6, Gamma(1.5, 2.0)),
+        (1e-6, Exponential(9.0)), (0.15, Negated(Exponential(2.0))), (0.15, PointMass(-1.0)),
+    )),
+    "difference-of-mixtures-part": Mixture(((0.7, get_case("E4").joint.B), (0.3, PointMass(1.0)))),
 }
 
 
