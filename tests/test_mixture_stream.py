@@ -57,7 +57,7 @@ LAWS = {
     "gamma-part": Mixture(((0.6, Gamma(2.5, 1.0)), (0.4, Exponential(3.0)))),
     # the inversion-table sampler
     "survival-defined-part": Mixture(((0.45, POLY_EXP), (0.55, Negated(Exponential(1.0))))),
-    # component 3 is empty at most sizes
+    # the 1e-6 component is empty at most sizes
     "six-with-a-tiny-weight": Mixture((
         (0.2, Exponential(1.0)), (0.2, PointMass(0.5)), (0.3 - 1e-6, Gamma(1.5, 2.0)),
         (1e-6, Exponential(9.0)), (0.15, Negated(Exponential(2.0))), (0.15, PointMass(-1.0)),
