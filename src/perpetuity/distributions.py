@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -213,12 +212,7 @@ class ScalarDistribution:
     def exp_weights(self) -> Optional[tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]]:
         """((alpha_i, r_i), (beta_j, l_j)) when D is a two-sided hyperexponential law, with density
         sum alpha_i r_i e^{-r_i x} on x > 0 and sum beta_j l_j e^{l_j x} on x < 0, the weights summing to 1:
-        the partial fractions of E e^{sD} = sum alpha_i r_i/(r_i - s) + sum beta_j l_j/(l_j + s).  Else None.
-        Computed once per law: a cached property is no dataclass field, so equality, hash and repr ignore it."""
-        return self._exp_weights
-
-    @cached_property
-    def _exp_weights(self):
+        the partial fractions of E e^{sD} = sum alpha_i r_i/(r_i - s) + sum beta_j l_j/(l_j + s).  Else None."""
         right = self._exp_terms()
         left = None if right is None else self._left_terms()
         return None if left is None else (right, left)
@@ -1115,7 +1109,7 @@ def sample_pair(joint: JointInput, rng: np.random.Generator, size: int):
         return a, b
     dep = joint.dependence
     b = joint.B.sample(rng, size)
-    a = np.array([dep.zeta2, dep.zeta1])[(b > dep.q).view(np.uint8)]
+    a = np.where(b > dep.q, dep.zeta1, dep.zeta2)
     return a, b
 
 

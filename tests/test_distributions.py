@@ -21,7 +21,6 @@ from perpetuity.distributions import (
     Negated,
     NoClosedForm,
     PointMass,
-    ScalarDistribution,
     Scaled,
     Shifted,
     SurvivalDefined,
@@ -195,27 +194,6 @@ def test_threshold_coefficient_is_a_deterministic_function_of_b():
     assert float((a == 0.3).mean()) == float((b > 1.0).mean())
     marg = joint.A_marginal()
     assert marg.atom_at(0.3) == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-
-class _Preset(ScalarDistribution):
-    """A B whose draws are given: values at the threshold and nan among them."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def sample(self, rng, size):
-        return self.values[:size].copy()
-
-
-@pytest.mark.parametrize("size", [0, 1, 65_536])
-def test_threshold_coefficient_is_the_where_form_to_the_byte(size):
-    dep = ThresholdDependent(0.3, 0.7, 1.0)
-    b = np.random.default_rng(9).exponential(1.0, size)
-    b[::3], b[1::7] = dep.q, np.nan
-    a, got_b = sample_pair(JointInput(None, _Preset(b), dep), np.random.default_rng(0), size)
-    want = np.where(b > dep.q, dep.zeta1, dep.zeta2)
-    assert a.dtype == want.dtype == np.float64
-    assert a.tobytes() == want.tobytes() and got_b.tobytes() == b.tobytes()
 
 
 def test_atom_bookkeeping_through_the_tree():

@@ -16,24 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from perpetuity.asymptotics import (
-    PredictionRefused,
-    _mgf_by_quadrature,
-    perpetuity_cf,
-    perpetuity_mgf,
-    thm2_inputs,
-    thm2_K,
-)
-from perpetuity.distributions import (
-    Beta,
-    Difference,
-    Exponential,
-    Gamma,
-    JointInput,
-    Mixture,
-    PointMass,
-    ScalarDistribution,
-)
+from perpetuity.asymptotics import PredictionRefused, _mgf_by_quadrature, perpetuity_mgf, thm2_inputs, thm2_K
+from perpetuity.distributions import Beta, Difference, Exponential, Gamma, JointInput, Mixture, PointMass
 from perpetuity.simulate import SimConfig, sample_batch
 
 
@@ -117,24 +101,3 @@ def test_series_sampler_matches_the_gamma_identity():
     for a, l in left:
         identity -= rng.gamma(lam * a, 1.0 / l, n)
     assert stats.ks_2samp(series, identity).pvalue > 1e-3
-
-
-def test_exp_weights_are_computed_once_per_law(monkeypatch):
-    calls = []
-    for cls in (ScalarDistribution, Exponential, Mixture, Difference):  # every class that states _exp_terms
-        orig = cls.__dict__["_exp_terms"]
-        monkeypatch.setattr(cls, "_exp_terms", lambda self, orig=orig: calls.append(self) or orig(self))
-
-    def e4_like():
-        return Difference(_exp_mixture(((0.5, 1.0), (0.5, 2.0))), _exp_mixture(((0.5, 1.0), (0.5, 2.0))))
-
-    B = e4_like()
-    joint = JointInput(Beta(1.5, 1.0), B)
-    grid = (0.25, 0.5, 1.0, 2.0, 4.0)
-    first = perpetuity_cf(joint, grid[0])
-    once = len(calls)
-    values = [first] + [perpetuity_cf(joint, t) for t in grid[1:]]
-    assert once > 0 and len(calls) == once
-    # the same bits as a fresh law asked at each t, and the cache leaves equality, hash and repr alone
-    assert values == [perpetuity_cf(JointInput(Beta(1.5, 1.0), e4_like()), t) for t in grid]
-    assert B == e4_like() and hash(B) == hash(e4_like()) and repr(B) == repr(e4_like())
