@@ -6,7 +6,8 @@ Three routes to a predicted right tail of X:
     carried with the 1/x term of its own expansion,
     P{X > x} = P{B > x} (K0 + K1/x + o(1/x)),
   * the power-corrected route K x^{lam C} e^{-bx} for A ~ Beta(lam, 1).
-Plus the transform of X, E e^{sX}, by the compound-Poisson exponent
+Plus the transform of X, E e^{sX}: a product over the powers of a constant
+coefficient, or for A ~ Beta(lam, 1) the compound-Poisson exponent
 representation, closed in logs for a two-sided hyperexponential increment.
 """
 
@@ -89,7 +90,7 @@ class TailPrediction:
 
     def __post_init__(self):
         if not (self.constant > 0 and math.isfinite(self.constant)):
-            raise ValueError("tail constant must be finite and positive")
+            raise PredictionRefused(f"tail constant {self.constant!r} leaves double range (overflow or underflow)")
 
     @property
     def K1(self) -> Optional[float]:
@@ -119,7 +120,7 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig) -> TailPredi
     """Predicted tail E psi(bA) * P{B > x} for an independent pair, P{B > x} ~ C e^{-bx} read off `B.exp_tail()`.
 
     Requires a Finite verdict on E psi(bA).  For constant A = gamma the
-    constant is the convergent product psi(b gamma) = prod_k phi(b gamma^k);
+    constant is psi(b gamma) = M_X(b gamma), `perpetuity_mgf`'s product;
     otherwise it is a median-of-means average of e^{b a_i x_i} with fresh
     A-draws a_i independent of the perpetuity draws x_i.
     """
@@ -133,21 +134,13 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig) -> TailPredi
     if tail.b != b:
         raise PredictionRefused(f"B's exponential tail has rate {tail.b:g}, not b = {b:g}")
     trace.append("tail model of B derived from its law")
-    A = joint.A
-    atoms = list(A.atoms() or ())
-    if len(atoms) == 1 and 0.0 < atoms[0] < 1.0:
-        gamma = atoms[0]
-        prod = 1.0
-        for factor in _mgf_at_powers(joint.B, b * gamma, gamma, 100_000):
-            prod *= factor
-            if abs(factor - 1.0) < 1e-16:
-                break
+    if (gamma := _constant_coefficient(joint.A)) is not None:
+        const, se, source, batch = perpetuity_mgf(joint, b * gamma).real, None, "ClosedForm", None
         trace.append("constant by convergent MGF product")
-        const, se, source, batch = prod, None, "ClosedForm", None
     else:
         batch = sample_batch(joint, cfg)
         rng = _chunk_rng(cfg.master_seed, batch.values.size // CHUNK + 101)
-        a = A.sample(rng, batch.values.size)
+        a = joint.A.sample(rng, batch.values.size)
         w = np.exp(np.minimum(b * a * batch.values, 700.0))
         const, se = median_of_means(w)
         source = "MonteCarlo"
@@ -156,17 +149,10 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig) -> TailPredi
     return TailPrediction(form, const, source, "PropMainII", trace, std_err=se, batch=batch)
 
 
-def _mgf_at_powers(B: ScalarDistribution, s: float, gamma: float, count: int):
-    """B.mgf at s, s gamma, s gamma^2, ... (count points), one array call per block of doubling size.
-
-    Each point is the running product, the same bits as repeated `s *= gamma`.
-    """
-    size = 64
-    while count > 0:
-        n = min(size, count)
-        ss = np.cumprod(np.concatenate(([s], np.full(n - 1, gamma))))
-        yield from np.asarray(B.mgf(ss, numeric_ok=False), dtype=float).tolist()
-        s, count, size = ss[-1] * gamma, count - n, 2 * size
+def _constant_coefficient(A: ScalarDistribution) -> Optional[float]:
+    """gamma when A = gamma a.s. with 0 < gamma < 1, read off a one-atom `atoms()`; else None."""
+    atoms = list(A.atoms() or ())
+    return atoms[0] if len(atoms) == 1 and 0.0 < atoms[0] < 1.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +379,10 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
         left = 0.0
         trace.append("no left tail (B >= 0)")
 
-    K = (C * b ** (C * lam) / math.gamma(C * lam + 1.0)) * math.exp(lam * (right - left))
+    try:
+        K = (C * b ** (C * lam) / math.gamma(C * lam + 1.0)) * math.exp(lam * (right - left))
+    except OverflowError as err:
+        raise PredictionRefused(f"K overflows double range: {err}") from err
     form = GammaLike(K, lam * C, b)
     return TailPrediction(form, K, source, "Thm2", trace)
 
@@ -402,27 +391,56 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
 # The transform of X: E e^{sX} and the characteristic function
 # ---------------------------------------------------------------------------
 
-def perpetuity_mgf(joint: JointInput, s) -> complex:
-    """M_X(s) = E e^{sX} = M_B(s) exp(lam int_0^s (M_B(u) - 1)/u du) for A ~ Beta(lam, 1), at complex s.
+def perpetuity_mgf(joint: JointInput, s):
+    """M_X(s) = E e^{sX} for constant A = gamma in (0, 1) or A ~ Beta(lam, 1), at a complex s or each s of an array.
 
-    For a two-sided hyperexponential B (`B.exp_weights()`) the exponent is closed in logs:
-    M_X(s) = M_B(s) prod (1 - s/r_i)^{-lam alpha_i} prod (1 + s/l_j)^{-lam beta_j}, that is
-    X = B + sum Gamma(lam alpha_i, r_i) - sum Gamma(lam beta_j, l_j), and M_X is +inf off the strip
-    -min l_j < Re s < min r_i.  For another B the exponent is a quadrature (`_mgf_by_quadrature`).
+    Constant A: prod_{k >= 0} M_B(s gamma^k) (`_mgf_product`).  Beta(lam, 1): M_B(s) exp(lam int_0^s (M_B(u) - 1)/u du),
+    closed in logs for a two-sided hyperexponential B (`_mgf_closed`), else a quadrature (`_mgf_by_quadrature`).  The
+    joint's facts are read once per call; each s of an array has a scalar s's bits, and a scalar s gives a complex.
     """
     if not joint.independent:
-        raise PredictionRefused("the CF representation needs independent (A, B)")
-    lam = joint.A.beta_lam()
-    if lam is None:
-        raise PredictionRefused("the CF representation needs A ~ Beta(lam, 1)")
+        raise PredictionRefused("the transform of X needs independent (A, B)")
     B = joint.B
+    gamma = _constant_coefficient(joint.A)
+    lam = None if gamma is not None else joint.A.beta_lam()
+    if gamma is None and lam is None:
+        raise PredictionRefused("the transform of X needs A ~ Beta(lam, 1) or a constant A in (0, 1)")
     if B.log1p_neg_moment_finite() is not True:
         raise PredictionRefused("E log(1 + B^-) < inf not established")
-    if s == 0.0:
-        return 1.0 + 0.0j
-    weights = B.exp_weights()
-    if weights is None:
-        return _mgf_by_quadrature(B, lam, s, 1e-10)
+    if gamma is not None:
+        try:
+            at_zero = B.mgf(0.0, numeric_ok=False)
+        except NoClosedForm as err:
+            raise PredictionRefused(f"the product form needs B's MGF in closed form: {err}") from err
+        value_at = lambda v: _mgf_product(B, gamma, at_zero, v)
+    elif (weights := B.exp_weights()) is not None:
+        value_at = lambda v: _mgf_closed(weights, lam, v)
+    else:
+        value_at = lambda v: _mgf_by_quadrature(B, lam, v, 1e-10)
+    sa = np.asarray(s)
+    vals = [1.0 + 0.0j if v == 0 else value_at(v) for v in sa.ravel().tolist()]
+    return vals[0] if sa.ndim == 0 else np.array(vals, dtype=complex).reshape(sa.shape)
+
+
+def _mgf_product(B: ScalarDistribution, gamma: float, at_zero: float, s) -> complex:
+    """prod_{k >= 0} M_B(s gamma^k), or +inf once the product is not finite.  B's MGF is asked at the running products
+    s gamma^k (the bits of repeated `s *= gamma`), one array call per block of doubling size, up to the first factor
+    within 1e-16 of M_B(0): that is 1 up to the rounding of B's weights, and every factor once s gamma^k is 0."""
+    prod, size = 1.0, 64
+    while True:
+        ss = np.cumprod(np.concatenate(([s], np.full(size - 1, gamma))))
+        for factor in B.mgf(ss, numeric_ok=False).tolist():
+            prod *= factor
+            if not cmath.isfinite(prod):
+                return complex(math.inf)
+            if abs(factor - at_zero) < 1e-16:
+                return complex(prod)
+        s, size = ss[-1] * gamma, min(2 * size, 1 << 16)  # the cap bounds a block's memory, not the count
+
+
+def _mgf_closed(weights, lam: float, s) -> complex:
+    """M_B(s) prod (1 - s/r_i)^{-lam alpha_i} prod (1 + s/l_j)^{-lam beta_j} from B's `exp_weights()`, that is
+    X = B + sum Gamma(lam alpha_i, r_i) - sum Gamma(lam beta_j, l_j); +inf off the strip -min l_j < Re s < min r_i."""
     right, left = weights
     if not -min((l for _, l in left), default=math.inf) < s.real < min(r for _, r in right):
         return complex(math.inf)
@@ -454,6 +472,6 @@ def _mgf_by_quadrature(B: ScalarDistribution, lam: float, s: complex, tol: float
     return complex(B.mgf(s) * np.exp(lam * res.value))
 
 
-def perpetuity_cf(joint: JointInput, t: float) -> complex:
-    """Psi(t) = E e^{itX} for A ~ Beta(lam, 1): the MGF of X on the imaginary axis."""
+def perpetuity_cf(joint: JointInput, t):
+    """Psi(t) = E e^{itX}, the MGF of X on the imaginary axis, at a scalar t or each t of an array."""
     return perpetuity_mgf(joint, 1j * t)

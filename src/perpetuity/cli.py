@@ -378,8 +378,10 @@ def cmd_validate(cfg: dict, args) -> int:
 def cmd_charfn(cfg: dict, args) -> int:
     joint = build_joint(cfg)
     ts = _floats(cfg.get("charfn.t_grid", "0.25,0.5,1,2,4"))
+    if not all(map(math.isfinite, ts)):
+        raise ConfigError("charfn.t_grid: every t must be finite")
     try:
-        vals = [perpetuity_cf(joint, t) for t in ts]
+        vals = perpetuity_cf(joint, np.array(ts))
     except PredictionRefused as e:
         raise ConfigError(str(e)) from e
     path = _out_dir(args) / "charfn.csv"

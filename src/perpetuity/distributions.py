@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
@@ -1203,7 +1203,3 @@ class ExpPlusRemainder:
     def __call__(self, x):
         xa = _as_array(x)
         return _maybe_scalar(self.C * np.exp(-self.b * xa) + np.asarray(self.r(xa), dtype=float), x)
-
-    def verify_grid(self, xs: Sequence[float]) -> bool:
-        vals = np.asarray(self(np.asarray(xs, dtype=float)))
-        return bool(np.all(vals >= -1e-12) and np.all(vals <= 1 + 1e-12) and np.all(np.diff(vals) <= 1e-12))

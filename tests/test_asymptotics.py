@@ -410,7 +410,7 @@ def test_cf_gamma_ratio_identity():
 
 def test_cf_refuses_non_beta_coefficient():
     with pytest.raises(PredictionRefused):
-        perpetuity_cf(JointInput(PointMass(0.5), Exponential(1.0)), 1.0)
+        perpetuity_cf(JointInput(Beta(2.0, 2.0), Exponential(1.0)), 1.0)
 
 
 def test_prediction_serialization():

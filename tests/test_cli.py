@@ -17,6 +17,7 @@ from perpetuity.cli import (
     parse_config_text,
     serialize_config,
 )
+from perpetuity.distributions import ScalarDistribution
 from perpetuity.simulate import sample_batch
 
 BASE = """
@@ -401,8 +402,7 @@ def test_validate_unconverged_reference_exits_6(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "v" / "validation.json").exists()
 
 
-def test_charfn_output(tmp_path):
-    text = """
+CHARFN = """
 joint.A.variant = beta
 joint.A.p = 1.0
 joint.A.q = 1.0
@@ -411,9 +411,11 @@ joint.B.left.weights = 1.0
 joint.B.left.rates = 2.0
 joint.B.right.weights = 1.0
 joint.B.right.rates = 1.0
-charfn.t_grid = 0.5,1,2
 """
-    path = write(tmp_path, text)
+
+
+def test_charfn_output(tmp_path):
+    path = write(tmp_path, CHARFN + "charfn.t_grid = 0.5,1,2\n")
     out = tmp_path / "cf"
     assert run("charfn", path, out) == 0
     lines = (out / "charfn.csv").read_text().splitlines()
@@ -421,9 +423,45 @@ charfn.t_grid = 0.5,1,2
     assert len(lines) == 4
 
 
-def test_charfn_rejects_pointmass_coefficient(tmp_path):
-    path = write(tmp_path, BASE)
+def test_charfn_rejects_a_coefficient_outside_the_transform(tmp_path):
+    # Beta(2, 2) is neither Beta(lam, 1) nor constant
+    path = write(tmp_path, BASE.replace("variant = pointmass\njoint.A.value = 0.5",
+                                        "variant = beta\njoint.A.p = 2\njoint.A.q = 2"))
     assert run("charfn", path, tmp_path / "o") == 2
+
+
+def test_charfn_rejects_a_non_finite_t(tmp_path, capsys):
+    path = write(tmp_path, CHARFN + "charfn.t_grid = 1,inf,nan\n")
+    assert run("charfn", path, tmp_path / "o") == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "charfn.csv").exists()
+
+
+def test_charfn_asks_the_weights_once(tmp_path, monkeypatch):
+    calls = []
+    original = ScalarDistribution.exp_weights
+
+    def spy(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ScalarDistribution, "exp_weights", spy)
+    path = write(tmp_path, CHARFN + "charfn.t_grid = 0.25,0.5,1,2,4\n")
+    assert run("charfn", path, tmp_path / "cf") == 0
+    assert len((tmp_path / "cf" / "charfn.csv").read_text().splitlines()) == 6
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("law", [
+    "joint.A.variant = pointmass\njoint.A.value = 0.999\n",  # prod_k 1/(1 - 0.999^k) is past 1e308
+    "joint.A.variant = beta\njoint.A.p = 200\n",  # Gamma(201) in thm2_K's K is past 1e308
+], ids=["constant-product", "thm2-gamma"])
+def test_tail_refuses_a_constant_past_double_range(tmp_path, capsys, law):
+    path = write(tmp_path, law + "joint.B.variant = exponential\njoint.B.rate = 1\n")
+    assert run("tail", path, tmp_path / "o") == 5
+    err = capsys.readouterr().err
+    assert "nearest misses" in err and "overflow" in err
+    assert not (tmp_path / "o" / "prediction.json").exists()
 
 
 def test_json_reports_are_byte_stable(tmp_path):

@@ -502,4 +502,3 @@ def test_tail_model_callables():
         GammaLike(-1.0, 0.0, 1.0)
     epr = ExpPlusRemainder(C=0.5, b=1.0, r=lambda x: 0.25 * np.exp(-2.0 * np.asarray(x, dtype=float)))
     assert epr(0.0) == pytest.approx(0.75)
-    assert epr.verify_grid(np.linspace(0.0, 10.0, 50))

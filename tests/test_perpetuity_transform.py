@@ -1,4 +1,4 @@
-"""The closed transform of X for A ~ Beta(lam, 1) and a two-sided hyperexponential B.
+"""The transform of X: closed for A ~ Beta(lam, 1) and a two-sided hyperexponential B, a product for constant A.
 
 With B = R - L, R = sum w_i Exp(r_i) and L = sum v_j Exp(l_j), the tree's
 `exp_weights()` gives the partial fractions ((alpha_i, r_i), (beta_j, l_j)),
@@ -16,8 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from perpetuity.asymptotics import PredictionRefused, _mgf_by_quadrature, perpetuity_mgf, thm2_inputs, thm2_K
+from perpetuity.asymptotics import (
+    PredictionRefused,
+    _mgf_by_quadrature,
+    perpetuity_cf,
+    perpetuity_mgf,
+    thm2_inputs,
+    thm2_K,
+)
 from perpetuity.distributions import Beta, Difference, Exponential, Gamma, JointInput, Mixture, PointMass
+from perpetuity.oracle import get_case
 from perpetuity.simulate import SimConfig, sample_batch
 
 
@@ -85,7 +93,7 @@ def test_transform_outside_the_class_integrates_or_refuses():
     assert gamma_B.B.exp_weights() is None
     assert perpetuity_mgf(gamma_B, 0.7j) == _mgf_by_quadrature(gamma_B.B, 1.5, 0.7j, 1e-10)
     with pytest.raises(PredictionRefused, match="Beta"):
-        perpetuity_mgf(JointInput(PointMass(0.5), Exponential(1.0)), 0.5j)
+        perpetuity_mgf(JointInput(Beta(2.0, 2.0), Exponential(1.0)), 0.5j)
 
 
 def test_series_sampler_matches_the_gamma_identity():
@@ -101,3 +109,38 @@ def test_series_sampler_matches_the_gamma_identity():
     for a, l in left:
         identity -= rng.gamma(lam * a, 1.0 / l, n)
     assert stats.ks_2samp(series, identity).pvalue > 1e-3
+
+
+# -- constant A = gamma: M_X(s) = prod_k M_B(s gamma^k) ------------------------
+
+@pytest.mark.parametrize("s", [0.3, -1.5 + 7j, 0.9 + 0.1j, -1.9, 2j, 0.999], ids=str)
+def test_constant_coefficient_gives_the_exact_law_of_E2(s):
+    # E2: A = 1/2 and X = Exp(1) - Exp(2), so M_X(s) = (1/(1 - s)) (2/(2 + s)), off the real axis too
+    got = perpetuity_mgf(get_case("E2").joint, s)
+    assert got == pytest.approx((1.0 / (1.0 - s)) * (2.0 / (2.0 + s)), rel=1e-14, abs=0.0)
+
+
+def test_constant_coefficient_product_stops_where_the_weights_round_below_one():
+    # 0.7 + 0.2 + 0.1 rounds to 1 - 2^-53, so no factor comes within 1e-16 of 1
+    B = Mixture(((0.7, Exponential(1.0)), (0.2, Exponential(2.0)), (0.1, Exponential(3.0))))
+    assert abs(B.mgf(0.0) - 1.0) > 1e-16
+    s, want = 0.5 + 2j, 1.0
+    for k in range(60):
+        want *= B.mgf(s * 0.5 ** k)
+    assert perpetuity_mgf(JointInput(PointMass(0.5), B), s) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+_CRIT5 = JointInput(Beta(1.0, 1.0), Difference(Exponential(2.0), Exponential(1.0)))
+
+
+@pytest.mark.parametrize("joint", [get_case("E1").joint, get_case("E2").joint, get_case("E4").joint, _CRIT5],
+                         ids=["E1", "E2", "E4", "crit5"])
+def test_an_array_of_s_gives_the_scalar_bits(joint):
+    s = np.array([[0.3, -1.5 + 7j, 0.0], [2j, -0.25 - 0.5j, 0.9 + 0.1j]])
+    got = perpetuity_mgf(joint, s)
+    assert got.shape == s.shape and got.dtype == complex
+    scalar = [[perpetuity_mgf(joint, v) for v in row] for row in s.tolist()]
+    assert all(type(v) is complex for row in scalar for v in row)
+    assert got.tolist() == scalar
+    t = np.array([0.25, 1.0, 4.0])
+    assert perpetuity_cf(joint, t).tolist() == [perpetuity_cf(joint, v) for v in t.tolist()]

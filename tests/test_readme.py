@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 from perpetuity.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -19,15 +21,33 @@ def test_readme_python_block_runs(capsys):
     assert abs(float(lines[2]) - 3.4627466) < 1e-6    # closed MGF product
 
 
+def _write_config(tmp_path):
+    """The README's config, as config.txt under tmp_path."""
+    config = re.search(r"```\n(joint\..*?)```", README.read_text(), flags=re.S).group(1)
+    (tmp_path / "config.txt").write_text(config)
+
+
 def test_readme_commands_run_as_printed(tmp_path, monkeypatch):
     # the command-line block, on the README's own config, without the [optional] flags
     text = README.read_text()
-    config = re.search(r"```\n(joint\..*?)```", text, flags=re.S).group(1)
-    (tmp_path / "config.txt").write_text(config)
+    _write_config(tmp_path)
     commands = [line.split()[1:] for line in re.search(r"```sh\n(perpetuity .*?)```", text, flags=re.S)
                 .group(1).splitlines()]
     assert [c[0] for c in commands] == ["simulate", "moments", "tail", "validate", "charfn"]
     monkeypatch.chdir(tmp_path)
     codes = {c[0]: main([arg for arg in c if not arg.startswith("[")]) for c in commands}
-    # charfn needs a Beta(lam, 1) coefficient, and the README's config has a constant one
-    assert codes == {"simulate": 0, "moments": 0, "tail": 0, "validate": 0, "charfn": 2}
+    assert codes == {"simulate": 0, "moments": 0, "tail": 0, "validate": 0, "charfn": 0}
+
+
+def test_readme_charfn_is_the_constant_coefficient_product(tmp_path, monkeypatch):
+    # A = 1/2 and B ~ Exp(1): psi(t) = prod_k 1/(1 - i t 2^-k)
+    _write_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["charfn", "config.txt", "--out", "results"]) == 0
+    rows = (tmp_path / "results" / "charfn.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5
+    for t, re_, im in (row.split(",") for row in rows):
+        want = 1.0
+        for k in range(80):
+            want /= 1.0 - 1j * float(t) * 0.5 ** k
+        assert complex(float(re_), float(im)) == pytest.approx(want, rel=1e-11, abs=0.0)
