@@ -381,8 +381,12 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
 
     try:
         K = (C * b ** (C * lam) / math.gamma(C * lam + 1.0)) * math.exp(lam * (right - left))
-    except OverflowError as err:
-        raise PredictionRefused(f"K overflows double range: {err}") from err
+    except OverflowError:  # a factor alone overflows: in logs K answers wherever it is itself a double
+        log_K = math.log(C) + C * lam * math.log(b) - math.lgamma(C * lam + 1.0) + lam * (right - left)
+        K = math.exp(log_K) if log_K < 709.78 else 0.0  # exp(709.79) is past the largest double
+        if K == 0.0:
+            raise PredictionRefused(f"K leaves double range: a factor overflows and log K = {log_K:.6g}")
+        trace.append(f"K taken in logs: a factor overflows (log K = {log_K:.12g})")
     form = GammaLike(K, lam * C, b)
     return TailPrediction(form, K, source, "Thm2", trace)
 

@@ -30,7 +30,7 @@ from .distributions import (
     PointMass,
     ScalarDistribution,
 )
-from .quadrature import integrate_batch, refuse_unconverged
+from .quadrature import QuadResult, integrate_batch, refuse_unconverged
 from .simulate import SimConfig, sample_batch
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "get_case",
     "reference_survival",
     "compare_empirical",
-    "survival_from_cf",
+    "survival_from_transform",
     "ReferenceNotConverged",
 ]
 
@@ -66,12 +66,13 @@ class ShiftedNegLogBeta:
 
 
 @dataclass(frozen=True)
-class InvertedCF:
-    """The law of a real characteristic-function inversion over (0, T)."""
+class ClosedTransform:
+    """The law whose E e^{sX} is mgf(s), for complex arrays s: analytic off the cuts [right, inf) and
+    (-inf, -left], and decaying to 0 as |s| grows along them; an infinite end has no cut."""
 
-    psi: Callable
-    T: float
-    label: str = "inverted characteristic function"
+    mgf: Callable
+    right: float
+    left: float
 
 
 @dataclass(frozen=True)
@@ -141,10 +142,9 @@ def _case_E4() -> ReferenceCase:
     c2 = (1 - p) ** 2 + 2 * p * (1 - p) * b / (b + c)
     M = Mixture(((p, Exponential(b)), (1 - p, Exponential(c))))
 
-    def psi(t):
-        t2 = np.asarray(t, dtype=float) ** 2
-        fb = b * b / (b * b + t2)
-        fc = c * c / (c * c + t2)
+    def mgf(s):
+        # the six-fold convolution of the symmetric increments; principal powers, analytic off |s| >= b
+        fb, fc = b * b / (b * b - s * s), c * c / (c * c - s * s)
         return (c1 * fb + c2 * fc) * fb ** (c1 * lam / 2) * fc ** (c2 * lam / 2)
 
     K = (c1 / 2) * 0.5 ** (c1 * lam / 2) * (c * c / (c * c - b * b)) ** (c2 * lam / 2) \
@@ -152,7 +152,7 @@ def _case_E4() -> ReferenceCase:
     return ReferenceCase(
         id="E4-mixture",
         joint=JointInput(Beta(lam, 1.0), Difference(M, M)),
-        exact_X_law=InvertedCF(psi, 400.0, "symmetric six-fold convolution"),
+        exact_X_law=ClosedTransform(mgf, b, b),
         asymptote=GammaLike(K, c1 * lam / 2, b),
         label="two-sided increment from a two-rate exponential mixture",
     )
@@ -193,47 +193,63 @@ class ReferenceNotConverged(RuntimeError):
     """An exact reference survival whose quadrature missed its tolerance at some x."""
 
 
-def survival_from_cf(psi: Callable, x, T: float, tol: float):
-    """P{X > x} = 1/2 + (1/pi) int_0^T Im(e^{-itx} Psi(t))/t dt, the integral to absolute tolerance tol.
+# Trapezoid step in u along the parabola; nodes per x in the first round and at most
+_STEP, _FIRST_NODES, _MAX_NODES = 0.04, 128, 1 << 15
 
-    One `integrate_batch` over the x values; psi must be vectorized.
-    Raises ReferenceNotConverged, naming the x values, if an integral
-    misses tol.  The part of the inversion beyond T is not counted in tol:
-    its size is set by psi's decay, and for E4 (T = 400) it reaches about
-    4e-9 near x = 0.
+
+def survival_from_transform(law: ClosedTransform, x, tol: float):
+    """P{X > x} from E e^{sX} by a contour inversion, each x to relative tolerance tol.
+
+    For x >= 0, P{X > x} = (1/pi) int_0^inf Im[e^{-sx} M(s) s'(u)/s] du on s(u) = c + mu (u^2 + iu),
+    c = right (1 - 1/(2 + x)), mu = 2 (right - c): the Bromwich line bent around the cut [right, inf)
+    (Weideman & Trefethen, Math. Comp. 76 (2007)), where the integrand decays like e^{-mu u^2 x} without
+    oscillating and a trapezoid sum converges geometrically.  For x < 0 the sum on M(-s) gives P{X < x}.
+    The error is the gap to the sum with twice the step on the same nodes, plus the last node's term
+    times the node count; ReferenceNotConverged names the x values where it exceeds tol.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-
-    def f(t, i):
-        # every member integrates over (0, T), so each row of t is the same grid
-        pv = np.asarray(psi(t[0]))
-        tx = t * xa[i, None, None]
-        val = -np.sin(tx) * pv.real
-        if np.iscomplexobj(pv):
-            val += np.cos(tx) * pv.imag
-        return val / t
-
-    res = integrate_batch(f, 0.0, np.full(xa.size, float(T)), math.pi * tol)
-    refuse_unconverged(res, xa, ReferenceNotConverged, "reference survival")
-    out = np.clip(0.5 + res.value / math.pi, 0.0, 1.0)
-    return out if np.asarray(x).ndim else float(out[0])
+    flip, ax = xa < 0, np.abs(xa)
+    end = np.where(flip, law.left, law.right)
+    end = np.where(np.isfinite(end), end, min(law.right, law.left))  # no cut on a side: the other end sets the scale
+    c, mu = end * (1.0 - 1.0 / (2.0 + ax)), 2.0 * end / (2.0 + ax)
+    total, coarse, tail = np.zeros((3, xa.size))
+    live, k0, size = np.arange(xa.size), 0, _FIRST_NODES
+    while live.size and k0 < _MAX_NODES:
+        k = np.arange(k0, k0 + size)
+        u = _STEP * k
+        ml = mu[live, None]
+        s = c[live, None] + ml * (u * u + 1j * u)
+        g = np.exp(-s * ax[live, None]) * law.mgf(np.where(flip[live, None], -s, s)) * (ml * (2.0 * u + 1j)) / s
+        g[:, k == 0] *= 0.5
+        total[live] += g.imag.sum(axis=1)
+        coarse[live] += g.imag[:, k % 2 == 0].sum(axis=1)
+        k0 += size
+        tail[live] = k0 * np.abs(g[:, -1])
+        ref = np.abs(np.where(flip[live], math.pi / _STEP - total[live], total[live]))  # the answer, in sum units
+        live = live[tail[live] > 0.1 * tol * ref]
+        size = min(k0, _MAX_NODES - k0)
+    value = np.where(flip, 1.0 - _STEP * total / math.pi, _STEP * total / math.pi)
+    err = _STEP * (np.abs(total - 2.0 * coarse) + tail) / math.pi
+    refuse_unconverged(QuadResult(value, err, k0, err <= tol * value), xa, ReferenceNotConverged, "reference survival")
+    return value if np.asarray(x).ndim else float(value[0])
 
 
 def reference_survival(case: ReferenceCase, x, tol: float = 1e-10):
     """Exact P{X > x} for a registry case; vectorized over x.
 
     A law on the distribution tree (E1, E2) answers through its own
-    survival.  The quadrature-backed laws integrate all x in one batch,
-    each to tol (E3 and E5 relative to a bound on the value, so the far
-    tail keeps its digits).  Raises ReferenceNotConverged, naming the x
-    values, if any integral misses its tolerance.
+    survival.  E3 and E5 integrate all x in one quadrature batch, each to
+    tol relative to a bound on the value, and E4 inverts its transform to
+    tol relative to the value, so the far tail keeps its digits.  Raises
+    ReferenceNotConverged, naming the x values, if any integral misses
+    its tolerance.
     """
     law = case.exact_X_law
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(law, ScalarDistribution):
         out = np.asarray(law.survival(xa))
-    elif isinstance(law, InvertedCF):
-        out = survival_from_cf(law.psi, xa, law.T, tol)
+    elif isinstance(law, ClosedTransform):
+        out = survival_from_transform(law, xa, tol)
     elif isinstance(law, DifferenceOfGammas):
         try:
             out = Difference(Gamma(law.shape1, law.rate1), Gamma(law.shape2, law.rate2)).survival(xa, tol)

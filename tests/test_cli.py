@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -462,6 +463,15 @@ def test_tail_refuses_a_constant_past_double_range(tmp_path, capsys, law):
     err = capsys.readouterr().err
     assert "nearest misses" in err and "overflow" in err
     assert not (tmp_path / "o" / "prediction.json").exists()
+
+
+def test_tail_takes_a_representable_constant_in_logs(tmp_path):
+    # Gamma(201) overflows, but K = 10^200 / 200! is a double; no --verify: at p = 200 a draw takes thousands of terms
+    path = write(tmp_path, "joint.A.variant = beta\njoint.A.p = 200\njoint.B.variant = exponential\njoint.B.rate = 10\n")
+    assert run("tail", path, tmp_path / "o") == 0
+    pred = json.loads((tmp_path / "o" / "prediction.json").read_text())
+    assert pred["theorem"] == "Thm2"
+    assert pred["constant"] == pytest.approx(float(Fraction(10 ** 200, math.factorial(200))), rel=1e-12)
 
 
 def test_json_reports_are_byte_stable(tmp_path):

@@ -8,7 +8,9 @@ digests in tests/golden/cli_digests.json were written by the code before
 the affine node replaced `Negated`, `Shifted` and `Scaled`; the
 `tail.beta_exp` one since an exponential B's zero remainder became a
 Frullani sum of no terms (its trace line and `source` moved, not its
-constant).
+constant); the `validate.E4` one since E4's reference became a contour
+inversion of its transform (KS moved by 7e-11, the tail references by at
+most 5.3e-8 relative, the exit code stayed 6).
 """
 
 import contextlib

@@ -8,13 +8,13 @@ import pytest
 from perpetuity import oracle, quadrature
 from perpetuity.distributions import Gamma
 from perpetuity.oracle import (
+    ClosedTransform,
     compare_empirical,
     get_case,
     list_cases,
     reference_survival,
-    survival_from_cf,
+    survival_from_transform,
 )
-from perpetuity.quadrature import _NODES, _WEIGHTS_K
 from perpetuity.simulate import SimConfig
 
 
@@ -81,9 +81,10 @@ def test_exact_law_approaches_the_asymptote():
 # stays in these bands over x = 20..60; the 1/x term of each expansion sets
 # them (2 + 2/x for E1's Gamma(3, 1) law, 2 for E5).  A constant off by
 # 1e-3 relative, a wrong b, or a power drift x^delta from a wrong c leaves
-# the band.  E4 is left out: its reference refuses at x = 40 and 60
-# (survival_from_cf cuts at T = 400).
-_SETTLED = {"E1": (2.02, 2.11), "E2": (-1e-9, 1e-9), "E3": (0.84, 0.875), "E5": (1.999, 2.001)}
+# the band.  E4's band is its closed kappa = 0.995081 less a second-order
+# term of about 0.51/x.
+_SETTLED = {"E1": (2.02, 2.11), "E2": (-1e-9, 1e-9), "E3": (0.84, 0.875), "E4": (0.96, 0.9951),
+            "E5": (1.999, 2.001)}
 
 
 @pytest.mark.parametrize("case_id", sorted(_SETTLED))
@@ -152,23 +153,48 @@ def test_e3_exact_law_keeps_its_gamma_parameters():
     assert (law.shape1, law.rate1, law.shape2, law.rate2) == (1.5, 1.0, 1.5, 1.0)
 
 
-def test_inverted_cf_matches_fixed_panels():
-    # the fixed 0.08-wide Kronrod panels on (0, 400) that E4 used before, kept as the reference
-    law = get_case("E4").exact_X_law
-    edges = np.linspace(0.0, law.T, 5001)
-    half = 0.5 * (edges[1] - edges[0])
-    ts = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _NODES).ravel()
-    ws = np.tile(half * _WEIGHTS_K, 5000)
-    xs = np.array([-6.0, -0.5, 0.0, 1.3, 4.0, 9.5, 30.0])
-    fixed = 0.5 - (np.sin(ts * xs[:, None]) * law.psi(ts) / ts * ws).sum(axis=1) / math.pi
-    assert np.max(np.abs(survival_from_cf(law.psi, xs, law.T, 1e-10) - fixed)) < 1e-12
+# The closed transforms of the exact laws of E1, E2, E3 and E5, each held to the law
+# the registry states for the case: Gamma(3, 1); Exp(1) - Exp(2); Gamma(1.5, 1) -
+# Gamma(1.5, 1); -log Y + B with E Y^{-s} = 2/((1 - s)(2 - s)) for Y ~ Beta(1, 2)
+# and B the half-half mixture of Exp(1) and Exp(2).
+_TRANSFORMS = {
+    "E1": ClosedTransform(lambda s: (1.0 - s) ** -3, 1.0, math.inf),
+    "E2": ClosedTransform(lambda s: 2.0 / ((1.0 - s) * (2.0 + s)), 1.0, 2.0),
+    "E3": ClosedTransform(lambda s: ((1.0 - s) * (1.0 + s)) ** -1.5, 1.0, 1.0),
+    "E5": ClosedTransform(lambda s: 2.0 / ((1.0 - s) * (2.0 - s)) * (0.5 / (1.0 - s) + 1.0 / (2.0 - s)),
+                          1.0, math.inf),
+}
 
 
-def test_inverted_complex_cf_gives_the_gamma_survival():
-    # E1's X ~ Gamma(3, 1) has the complex Psi(t) = (1 - it)^-3; the part past T = 400 is about T^-3 / 3 = 5e-9
+def test_inverted_transform_matches_mpmath():
+    # mpmath quadosc of E4's uncut theta = 0 inversion integral, at 25 digits; mpmath quad along the
+    # parabola at 40 digits agrees to 2e-16 at x <= 9.5 and puts the x = 30 literal 7.6e-14 low
+    xs = np.array([1.3, 4.0, 9.5, 30.0])
+    exact = np.array([0.139747240566754716, 0.00958887264783792063, 0.0000447172945604770337,
+                      7.33509722992416108e-14])
+    got = reference_survival(get_case("E4"), xs, tol=1e-12)
+    assert np.max(np.abs(got - exact)) < 1e-12
+    assert np.max(np.abs(got - exact) / exact) < 1e-12
+
+
+def test_inverted_transform_gives_the_gamma_survival():
+    # E1's X ~ Gamma(3, 1) has E e^{sX} = (1 - s)^-3, with no cut on the left
     xs = np.array([0.5, 1.5, 3.0, 6.0])
-    got = survival_from_cf(lambda t: (1.0 - 1j * t) ** -3, xs, 400.0, 1e-10)
+    got = survival_from_transform(_TRANSFORMS["E1"], xs, 1e-10)
     np.testing.assert_allclose(got, Gamma(3.0, 1.0).survival(xs), rtol=0.0, atol=1e-7)
+
+
+@pytest.mark.parametrize("case_id", sorted(_TRANSFORMS))
+def test_inverted_transform_matches_the_other_exact_laws(case_id):
+    xs = np.linspace(-8.0, 60.0, 69)
+    got = survival_from_transform(_TRANSFORMS[case_id], xs, 1e-10)
+    exact = np.asarray(reference_survival(get_case(case_id), xs, tol=1e-12))
+    assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+def test_inverted_transform_refuses_a_tolerance_it_misses():
+    with pytest.raises(oracle.ReferenceNotConverged, match=r"did not converge at x = 1\.3, "):
+        reference_survival(get_case("E4"), np.array([1.3, 4.0, 30.0]), tol=1e-30)
 
 
 def test_unconverged_reference_is_refused():
