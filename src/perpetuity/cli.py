@@ -53,7 +53,7 @@ from .distributions import (
     validate_nondegeneracy,
 )
 from .oracle import ReferenceNotConverged, compare_empirical, get_case
-from .simulate import SimConfig, check_convergence, empirical_tail, sample_batch
+from .simulate import TAIL_LEVELS, SimConfig, check_convergence, empirical_tail, sample_batch
 
 __all__ = ["entry", "parse_config_text", "serialize_config", "build_joint", "config_hash"]
 
@@ -343,10 +343,10 @@ def cmd_tail(cfg: dict, args) -> int:
         if "sim.x_grid" in cfg:
             xs = _floats(cfg["sim.x_grid"])
         else:
-            xs = list(np.quantile(batch.values, [0.99, 0.997, 0.999, 0.9997, 0.9999]))
+            xs = list(np.quantile(batch.values, TAIL_LEVELS))
         rows = []
         for t in empirical_tail(batch, xs):
-            pred = float(np.asarray(prediction.form(t.x)))
+            pred = prediction.form(t.x)
             ratio = t.p_hat / pred if pred > 0 else math.inf
             rows.append((t.x, pred, t.p_hat, t.std_err, ratio))
         with open(out / "ratio.csv", "w") as fh:

@@ -94,50 +94,46 @@ def _weighted_mgf_at_atom(joint: JointInput, phi, a_val: float):
 
 
 def expected_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
-    """E phi(rA) with phi(s) = E e^{sB}: (status, value).
+    """E phi(rA) with phi(s) = E e^{sB}: (E phi(rA) < inf, E phi(rA)).
 
-    status: "finite" (value may be None for boundary cases), "infinite",
-    or "unknown".
+    The first is True, False, or None when unknown; the value may be None
+    where it is finite, for boundary cases and unconverged integrals.
     """
     atoms = A.atoms()
     if atoms is not None:
         # one array MGF call; summed in atom order, it has the bits of a scalar call per atom
         phi = _mgf_closed(B, r * np.array(list(atoms)))
         if phi is None:
-            return ("unknown", None)
+            return (None, None)
         if np.any(phi == _INF):
-            return ("infinite", None)
+            return (False, None)
         total = 0.0
         for w, p in zip(atoms.values(), phi.tolist()):
             total += w * p
-        return ("finite", total)
+        return (True, total)
     if r * A.support()[0] <= B.mgf_domain()[0]:
-        return ("unknown", None)  # the domain is conservative and open: it shows neither finite nor infinite
+        return (None, None)  # the domain is conservative and open: it shows neither finite nor infinite
     pole = B.mgf_pole()
     if pole is None:
-        return ("unknown", None)
+        return (None, None)
     s_max, order = pole
     if s_max == _INF:
-        return ("finite", _integrate_phi_rA(A, B, r))
+        return (True, _integrate_phi_rA(A, B, r))
     a_hi = A.support()[1]
     if r * a_hi < s_max:
-        return ("finite", _integrate_phi_rA(A, B, r))
+        return (True, _integrate_phi_rA(A, B, r))
     if r * a_hi > s_max:
         # positive mass strictly above the pole
         try:
-            mass = float(np.asarray(A.survival(s_max / r)))
+            mass = A.survival(s_max / r)
         except NoClosedForm:
-            return ("unknown", None)
-        if mass > 0:
-            return ("infinite", None)
-        return ("unknown", None)
+            return (None, None)
+        return (False, None) if mass > 0 else (None, None)
     # r * a_hi == s_max: the boundary depends on the density decay at a_hi.
     q_exp = A.upper_density_exponent()
     if q_exp is None:
-        return ("unknown", None)
-    if q_exp > order:
-        return ("finite", None)
-    return ("infinite", None)
+        return (None, None)
+    return (bool(q_exp > order), None)
 
 
 def _integrate_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
@@ -146,7 +142,7 @@ def _integrate_phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
     lo, hi = A.support()
     if A.pdf(0.5 * (lo + hi)) is None or not (math.isfinite(lo) and math.isfinite(hi)):
         return None
-    res = integrate_finite(lambda u: B.mgf(r * u) * float(np.asarray(A.pdf(u))), lo, hi, 1e-10)
+    res = integrate_finite(lambda u: B.mgf(r * u) * A.pdf(u), lo, hi, 1e-10)
     return res.value if res.converged else None
 
 
@@ -266,7 +262,7 @@ def exp_moment_criterion_mixedA(joint: JointInput, r: float) -> MomentVerdict:
         elif phi == _INF:
             c, witness = False, "E e^{rB} = inf"
         elif phi is not None:
-            c, val = _phi_rA(A, joint.B, r)
+            c, val = expected_phi_rA(A, joint.B, r)
             witness = phi * val if c and val is not None else None
         trace.append(_check("E e^{r(B1+A1B2)} < inf", c, witness))
         # this condition decides before the bound: an unknown one leaves P{|A|<=1}=1 unread
@@ -349,7 +345,7 @@ def prop_main_part1(joint: JointInput, r: float) -> MomentVerdict:
     if A.positive() is True and a_hi <= 1.0:
         part, trace = "(a)", [_check("P{A in (0,1]}=1", True, (a_lo, a_hi))]
         if p1 == 0.0:
-            label, (c, witness) = "E phi(rA) < inf", _phi_rA(A, B, r)
+            label, (c, witness) = "E phi(rA) < inf", expected_phi_rA(A, B, r)
         else:
             phi = _mgf_closed(B, r)
             c = None if phi is None or p1 is None else (phi < _INF and phi * p1 < 1.0)
@@ -374,12 +370,6 @@ def prop_main_part1(joint: JointInput, r: float) -> MomentVerdict:
     return _decide([c], f"E psi(rA) finiteness criterion {part}", trace)
 
 
-def _phi_rA(A: ScalarDistribution, B: ScalarDistribution, r: float):
-    """(E phi(rA) < inf as a truth value, E phi(rA))."""
-    status, val = expected_phi_rA(A, B, r)
-    return {"finite": True, "infinite": False, "unknown": None}[status], val
-
-
 def _str_condition(A: ScalarDistribution, B: ScalarDistribution, r: float, trace: list):
     """(label, truth value, witness) of E e^{r A1 (B2 + A2 B3)} < inf for P{A in (-1,0)} = 1."""
     label = "E e^{rA1(B2+A2B3)} < inf"
@@ -401,7 +391,7 @@ def _str_condition(A: ScalarDistribution, B: ScalarDistribution, r: float, trace
         return label, True, total
     if B.support()[1] <= 0.0:
         trace.append(_check("B <= 0: reduces to E phi(rA) < inf", True))
-        return ("E phi(rA) < inf", *_phi_rA(A, B, r))
+        return ("E phi(rA) < inf", *expected_phi_rA(A, B, r))
     return label, None, "no closed form for this A"
 
 

@@ -78,7 +78,7 @@ def _maybe_scalar(out, x):
 
 def _prob_gt(d: "ScalarDistribution", x: float) -> Optional[float]:
     try:
-        return float(np.asarray(d.survival(x)))
+        return d.survival(x)
     except NoClosedForm:
         return None
 
@@ -146,7 +146,9 @@ class ScalarDistribution:
         return None
 
     def mgf_domain(self) -> tuple[float, float]:
-        """Open interval on which the MGF is certainly finite (conservative)."""
+        """Open interval on which the MGF is certainly finite (conservative); all of R for a bounded support."""
+        if all(map(math.isfinite, self.support())):
+            return (-_INF, _INF)
         raise NotImplementedError
 
     def positive(self) -> Optional[bool]:
@@ -259,9 +261,6 @@ class PointMass(ScalarDistribution):
 
     def density_left_limit(self, v):
         return 0.0
-
-    def mgf_domain(self):
-        return (-_INF, _INF)
 
     def log_abs_moment(self):
         if self.value == 0:
@@ -433,9 +432,6 @@ class Beta(ScalarDistribution):
             return _INF
         return self.p if self.q == 1.0 else 0.0
 
-    def mgf_domain(self):
-        return (-_INF, _INF)
-
     def upper_density_exponent(self):
         return self.q
 
@@ -493,9 +489,6 @@ class Uniform(ScalarDistribution):
 
     def density_left_limit(self, v):
         return 1.0 / (self.hi - self.lo) if self.lo < v <= self.hi else 0.0
-
-    def mgf_domain(self):
-        return (-_INF, _INF)
 
     def upper_density_exponent(self):
         return 1.0
@@ -902,11 +895,11 @@ def _exp_tilted_survival(survival: Callable, s) -> Callable:
     """
 
     def f(y):
-        sv = float(np.asarray(survival(y)))
+        sv = survival(y)
         return math.exp(min(s * y + math.log(sv), 700.0)) if sv > 0.0 else 0.0
 
     def f_complex(y):
-        sv, z = float(np.asarray(survival(y))), s * y
+        sv, z = survival(y), s * y
         return cmath.exp(complex(min(z.real + math.log(sv), 700.0), z.imag)) if sv > 0.0 else 0j
 
     return f_complex if isinstance(s, complex) else f
@@ -1092,7 +1085,7 @@ class JointInput:
         if self.independent:
             return self.A
         dep = self.dependence
-        p1 = float(np.asarray(self.B.survival(dep.q)))
+        p1 = self.B.survival(dep.q)
         comps = []
         if p1 > 0:
             comps.append((p1, PointMass(dep.zeta1)))
@@ -1184,13 +1177,12 @@ def _no_remainder(x):
 
 @dataclass(frozen=True)
 class ExpPlusRemainder:
-    """Right-tail decomposition P{B > x} = C e^{-bx} + r(x) for x >= 0."""
+    """Right-tail decomposition P{B > x} = C e^{-bx} + r(x) for x >= 0.  A positive r_decay_margin is what makes
+    e^{bx} r(x) vanish and int_1^inf e^{by}/y |r(y)| dy finite, the two facts the power-corrected route needs of r."""
 
     C: float
     b: float
     r: Callable = _no_remainder
-    r_vanishes: bool = True          # lim e^{bx} r(x) = 0
-    r_integrable: bool = True        # int_1^inf e^{by}/y r+(y) dy < inf (and the eps-version for r-)
     r_decay_margin: float = 1.0      # eps with |r(y)| = O(e^{-(b+eps) y})
     # exact exponential sums for thm2_K's Frullani sums; None leaves an integral to its quadrature
     r_terms: Optional[tuple] = None      # (c, beta) pairs with r(x) = sum c e^{-beta x}
@@ -1199,6 +1191,8 @@ class ExpPlusRemainder:
     def __post_init__(self):
         if self.C <= 0 or self.b <= 0:
             raise ValidationError("ExpPlusRemainder needs C > 0 and b > 0")
+        if not self.r_decay_margin > 0:
+            raise ValidationError("ExpPlusRemainder needs r_decay_margin > 0: r must decay faster than e^{-bx}")
 
     def __call__(self, x):
         xa = _as_array(x)

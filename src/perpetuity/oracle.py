@@ -11,7 +11,7 @@ truth for the simulation engine and the asymptote constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -31,7 +31,7 @@ from .distributions import (
     ScalarDistribution,
 )
 from .quadrature import QuadResult, integrate_batch, refuse_unconverged
-from .simulate import SimConfig, sample_batch
+from .simulate import TAIL_LEVELS, SimConfig, empirical_tail, sample_batch
 
 __all__ = [
     "ReferenceCase",
@@ -81,7 +81,6 @@ class ReferenceCase:
     joint: JointInput
     exact_X_law: object
     asymptote: GammaLike          # closed-form predicted P{X>x} coefficient
-    label: str = ""
 
     def predict(self) -> asymptotics.TailPrediction:
         """The asymptotics module's prediction from the tree's tail inputs: thm2_K for A ~ Beta(lam, 1), else E psi(bA)."""
@@ -96,17 +95,18 @@ class ReferenceCase:
 # ---------------------------------------------------------------------------
 
 def _case_E1() -> ReferenceCase:
+    """Gamma identity for a beta coefficient and exponential increment."""
     c, b = 2.0, 1.0
     return ReferenceCase(
         id="E1",
         joint=JointInput(Beta(c, 1.0), Exponential(b)),
         exact_X_law=Gamma(c + 1.0, b),
         asymptote=GammaLike(b ** c / math.gamma(c + 1.0), c, b),
-        label="gamma identity for a beta coefficient and exponential increment",
     )
 
 
 def _case_E2() -> ReferenceCase:
+    """Constant coefficient, increment a four-part exponential mixture."""
     gamma_, a, b = 0.5, 1.0, 2.0
     B = Mixture((
         (gamma_ ** 2, PointMass(0.0)),
@@ -119,11 +119,11 @@ def _case_E2() -> ReferenceCase:
         joint=JointInput(PointMass(gamma_), B),
         exact_X_law=Difference(Exponential(a), Exponential(b)),
         asymptote=GammaLike(b / (a + b), 0.0, a),
-        label="constant coefficient, increment a four-part exponential mixture",
     )
 
 
 def _case_E3() -> ReferenceCase:
+    """Difference of two gamma laws."""
     lam, a, b = 1.0, 1.0, 1.0
     shape = a * lam / (a + b) + 1.0
     K = (a / (a + b)) ** (b * lam / (a + b) + 1.0) * b ** (a * lam / (a + b)) / math.gamma(shape)
@@ -132,11 +132,11 @@ def _case_E3() -> ReferenceCase:
         joint=JointInput(Beta(lam, 1.0), Difference(Exponential(b), Exponential(a))),
         exact_X_law=DifferenceOfGammas(shape, b, b * lam / (a + b) + 1.0, a),
         asymptote=GammaLike(K, a * lam / (a + b), b),
-        label="difference of two gamma laws",
     )
 
 
 def _case_E4() -> ReferenceCase:
+    """Two-sided increment from a two-rate exponential mixture."""
     p, b, c, lam = 0.5, 1.0, 2.0, 1.0
     c1 = p * p + 2 * p * (1 - p) * c / (b + c)
     c2 = (1 - p) ** 2 + 2 * p * (1 - p) * b / (b + c)
@@ -154,11 +154,11 @@ def _case_E4() -> ReferenceCase:
         joint=JointInput(Beta(lam, 1.0), Difference(M, M)),
         exact_X_law=ClosedTransform(mgf, b, b),
         asymptote=GammaLike(K, c1 * lam / 2, b),
-        label="two-sided increment from a two-rate exponential mixture",
     )
 
 
 def _case_E5() -> ReferenceCase:
+    """Negative log of a beta variable plus the increment."""
     b, lam = 1.0, 2.0
     # survival e^{-bx}(1 - e^{-lam x}) / (lam (1 - e^{-x})) collapses to a
     # two-rate exponential mixture at these parameters
@@ -169,7 +169,6 @@ def _case_E5() -> ReferenceCase:
         joint=JointInput(Beta(lam, 1.0), B),
         exact_X_law=ShiftedNegLogBeta(b, lam),
         asymptote=GammaLike(K, 1.0, b),
-        label="negative log of a beta variable plus the increment",
     )
 
 
@@ -301,25 +300,13 @@ class OracleReport:
     n: int
     ks: float
     ks_threshold: float
-    tail_rows: list = field(default_factory=list)  # (x, p_hat, std_err, reference, ratio, checked)
+    tail_rows: list = field(default_factory=list)  # dicts: x, p_hat, std_err, reference, ratio, checked
     passed: bool = False
     low_N: bool = False
     truncation: dict = field(default_factory=dict)
 
     def as_dict(self):
-        return {
-            "case_id": self.case_id,
-            "n": self.n,
-            "ks": self.ks,
-            "ks_threshold": self.ks_threshold,
-            "tail_rows": [
-                {"x": x, "p_hat": p, "std_err": se, "reference": ref, "ratio": ratio, "checked": ch}
-                for (x, p, se, ref, ratio, ch) in self.tail_rows
-            ],
-            "passed": self.passed,
-            "low_N": self.low_N,
-            "truncation": self.truncation,
-        }
+        return asdict(self)
 
     def table(self) -> str:
         lines = [
@@ -327,9 +314,9 @@ class OracleReport:
             + ("  [low N]" if self.low_N else ""),
             f"{'x':>10} {'p_hat':>12} {'std_err':>10} {'reference':>12} {'ratio':>8}",
         ]
-        for x, p, se, ref, ratio, ch in self.tail_rows:
-            mark = "" if ch else "  (unchecked: p_hat < 1e-4)"
-            lines.append(f"{x:>10.4f} {p:>12.5e} {se:>10.2e} {ref:>12.5e} {ratio:>8.4f}{mark}")
+        for row in self.tail_rows:
+            line = "{x:>10.4f} {p_hat:>12.5e} {std_err:>10.2e} {reference:>12.5e} {ratio:>8.4f}".format(**row)
+            lines.append(line + ("" if row["checked"] else "  (unchecked: p_hat < 1e-4)"))
         lines.append("PASS" if self.passed else "FAIL")
         return "\n".join(lines)
 
@@ -359,16 +346,15 @@ def compare_empirical(case: ReferenceCase, cfg: SimConfig) -> OracleReport:
 
     rows = []
     all_ok = True
-    anchors = np.quantile(sorted_vals, 1.0 - np.array([1e-2, 3e-3, 1e-3, 3e-4, 1e-4]))
+    anchors = np.quantile(sorted_vals, TAIL_LEVELS)
     refs = np.asarray(reference_survival(case, anchors))
-    for x, ref in zip(anchors.tolist(), refs.tolist()):
-        p_hat = float(1.0 - np.searchsorted(sorted_vals, x, side="right") / n)
-        se = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n)
-        ratio = p_hat / ref if ref > 0 else math.inf
-        checked = p_hat >= 1e-4
+    for t, ref in zip(empirical_tail(batch, anchors), refs.tolist()):
+        ratio = t.p_hat / ref if ref > 0 else math.inf
+        checked = t.p_hat >= 1e-4
         if checked and not (0.9 <= ratio <= 1.1):
             all_ok = False
-        rows.append((x, p_hat, se, ref, ratio, checked))
+        rows.append({"x": t.x, "p_hat": t.p_hat, "std_err": t.std_err, "reference": ref, "ratio": ratio,
+                     "checked": checked})
 
     report = OracleReport(
         case_id=case.id,

@@ -47,6 +47,7 @@ _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
 _WEIGHTS_KG = np.stack([_WEIGHTS_K, _WEIGHTS_G])
 _NODE_LIST = _NODES.tolist()
 _UNIT_NODES = 1.0 + _NODES  # the nodes on [0, 2], for the unit panels of `integrate_batch`
+_MAX_PANELS = 10_000  # panels of one `integrate_finite` integral; one that needs more comes back converged False
 
 
 @dataclass
@@ -76,9 +77,8 @@ def _panels(f: Callable, edges, vectorized: bool):
     return k, [abs(v - h * gg) for v, (_, h), (_, gg) in zip(k, mid_half, kg)]
 
 
-def integrate_finite(f: Callable, lo: float, hi: float, tol: float, max_panels: int = 10_000, *,
-                     vectorized: bool = False) -> QuadResult:
-    """Adaptive integral of f over (lo, hi) to absolute tolerance tol.
+def integrate_finite(f: Callable, lo: float, hi: float, tol: float, *, vectorized: bool = False) -> QuadResult:
+    """Adaptive integral of f over (lo, hi) to absolute tolerance tol, on at most _MAX_PANELS panels.
 
     f takes one point, a Python float, and returns a real or complex number.  With
     vectorized=True, f instead takes a 1-d array of points and returns
@@ -94,7 +94,7 @@ def integrate_finite(f: Callable, lo: float, hi: float, tol: float, max_panels: 
     heap = [(-err, lo, hi, val, err)]
     total_err = err
     n = 1
-    while total_err > tol and n < max_panels:
+    while total_err > tol and n < _MAX_PANELS:
         _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
         (v1, v2), (e1, e2) = _panels(f, (a, m, b), vectorized)

@@ -39,6 +39,8 @@ __all__ = [
 
 CHUNK = 1 << 16
 CSV_BLOCK = 8192  # values formatted per string in SampleBatch.to_csv
+# the levels of the sample quantiles where `tail --verify` and `validate` read the tail by default
+TAIL_LEVELS = (0.99, 0.997, 0.999, 0.9997, 0.9999)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,6 @@ class TailEstimate:
     x: float
     p_hat: float
     std_err: float
-    method: str
 
 
 def _chunk_rng(master_seed: int, chunk_index: int) -> np.random.Generator:
@@ -170,7 +171,6 @@ class ConvergenceVerdict:
     verdict: str  # "converges" | "diverges" | "unknown"
     e_log_abs_A: Optional[float]
     e_log_abs_A_source: str
-    log_moment_B_finite: Optional[bool]
     evidence: list = field(default_factory=list)
 
 
@@ -189,7 +189,7 @@ def check_convergence(joint: JointInput) -> ConvergenceVerdict:
         source = "monte-carlo"
         ev.append(f"E log|A| ~= {ela:.5f} +- {se:.5f} (MC)")
         if abs(ela) < 3 * se:
-            return ConvergenceVerdict("unknown", ela, source, B.log1p_neg_moment_finite(), ev)
+            return ConvergenceVerdict("unknown", ela, source, ev)
     else:
         ev.append(f"E log|A| = {ela:.6g} (symbolic)")
     log_b = B.log1p_neg_moment_finite()
@@ -206,10 +206,10 @@ def check_convergence(joint: JointInput) -> ConvergenceVerdict:
         ev.append("E log(1+|B|) not symbolically settled")
     if ela is not None and ela >= 0:
         ev.append("E log|A| >= 0: the series diverges")
-        return ConvergenceVerdict("diverges", ela, source, log_finite, ev)
+        return ConvergenceVerdict("diverges", ela, source, ev)
     if ela is not None and ela < 0 and log_finite:
-        return ConvergenceVerdict("converges", ela, source, log_finite, ev)
-    return ConvergenceVerdict("unknown", ela, source, log_finite, ev)
+        return ConvergenceVerdict("converges", ela, source, ev)
+    return ConvergenceVerdict("unknown", ela, source, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +217,16 @@ def check_convergence(joint: JointInput) -> ConvergenceVerdict:
 # ---------------------------------------------------------------------------
 
 def empirical_tail(batch: SampleBatch, xs) -> list[TailEstimate]:
+    """1 - #{draws <= x}/n at each x, with its binomial std_err; a NaN sorts above every number, as in np.sort."""
     if batch.values.size == 0:
         raise ValueError("empirical_tail needs a nonempty batch")
     n = batch.values.size
     out = []
-    sorted_vals = np.sort(batch.values)
     for x in np.atleast_1d(xs):
-        p = float(1.0 - np.searchsorted(sorted_vals, x, side="right") / n)
+        below = n if x != x else np.count_nonzero(batch.values <= x)
+        p = float(1.0 - below / n)
         se = math.sqrt(max(p * (1 - p), 0.0) / n)
-        out.append(TailEstimate(float(x), p, se, "Empirical"))
+        out.append(TailEstimate(float(x), p, se))
     return out
 
 
@@ -293,18 +294,16 @@ class StochasticBound:
     q: float
     d: float
     x0: float
-    c_Z: float
 
     def sample_Z(self, B: ScalarDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw Z = (B' + d) 1{B' > q} conditioned on Z >= x0, by inverting B's survival."""
         m = max(self.q, self.x0 - self.d)
-        s_m = float(np.asarray(B.survival(m)))
-        u = rng.random(size) * s_m
+        u = rng.random(size) * B.survival(m)
         return np.asarray(B.inverse_survival(u)) + self.d
 
     def survival_Z(self, B: ScalarDistribution, x):
         m = max(self.q, self.x0 - self.d)
-        s_m = float(np.asarray(B.survival(m)))
+        s_m = B.survival(m)
         xa = np.asarray(x, dtype=float)
         out = np.where(xa < self.x0, 1.0, np.asarray(B.survival(np.maximum(xa - self.d, m))) / s_m)
         return out if xa.ndim else float(out)
@@ -356,10 +355,9 @@ def stochastic_upper_bound(
         if q > 200:
             raise RuntimeError("no admissible threshold q found")
     margin = 1.0 - e_bB_at_A1 - tail_term
-    p_below = 1.0 - float(np.asarray(B.survival(q)))
+    p_below = 1.0 - B.survival(q)
     d = math.log(p_below / margin) / b + 0.25
     d = max(d, 0.1)
-    c_Y = math.exp(b * d)
 
     rng = np.random.default_rng(seed)
     if joint.independent:
@@ -367,7 +365,7 @@ def stochastic_upper_bound(
     else:
         a = np.full(n_probe, joint.dependence.zeta1)
     # Y draws: conditional B' | B' > q, shifted by d, with atom at 0.
-    s_q = float(np.asarray(B.survival(q)))
+    s_q = B.survival(q)
     u = rng.random(n_probe)
     y = np.zeros(n_probe)
     hit = u < s_q
@@ -377,7 +375,7 @@ def stochastic_upper_bound(
         raise NoClosedForm("stochastic_upper_bound needs an invertible survival for B")
 
     def surv_Y(x):
-        return float(np.asarray(B.survival(max(x - d, q))))
+        return B.survival(max(x - d, q))
 
     def smoothed_lhs(x):
         return float(np.mean(np.asarray(B.survival(x - a * y))))
@@ -388,5 +386,4 @@ def stochastic_upper_bound(
     if bad and bad[-1] >= grid[-2]:
         raise RuntimeError("grid search found no crossover point x0")
     x0 = float(bad[-1] + (grid[1] - grid[0])) if bad else float(grid[0])
-    c_Z = c_Y / float(np.asarray(B.survival(max(q, x0 - d))))
-    return StochasticBound(q=q, d=d, x0=x0, c_Z=c_Z)
+    return StochasticBound(q=q, d=d, x0=x0)

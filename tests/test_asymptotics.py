@@ -32,6 +32,7 @@ from perpetuity.distributions import (
     SurvivalDefined,
     ThresholdDependent,
     Uniform,
+    ValidationError,
 )
 from perpetuity.oracle import get_case
 from perpetuity.simulate import SimConfig
@@ -77,10 +78,10 @@ def test_K_reduces_to_the_pure_exponential_case():
         assert pred.constant == pytest.approx(b ** lam / math.gamma(lam + 1.0), rel=1e-10)
 
 
-def test_K_requires_remainder_flags():
-    bad = ExpPlusRemainder(C=1.0, b=1.0, r_vanishes=False)
-    with pytest.raises(PredictionRefused):
-        thm2_K(1.0, bad)
+def test_remainder_needs_a_positive_decay_margin():
+    # the margin is what makes r vanish against e^{-bx} and be integrable: a remainder without one is refused
+    with pytest.raises(ValidationError):
+        ExpPlusRemainder(C=1, b=1, r_decay_margin=0.0)
 
 
 def test_gamma_recurrence_accuracy():
@@ -293,6 +294,36 @@ def test_thm1_refuses_slow_polynomial_correction():
     joint = JointInput(Uniform(0.0, 1.0), _poly_exp_B())
     with pytest.raises(PredictionRefused):
         thm1_constant(joint, GammaLike(1.0, -0.5, 1.0), SimConfig(n_samples=100, master_seed=1))
+
+
+class _AtomsUnknown(Uniform):
+    """A law in (0, 1] whose atoms the tree cannot state."""
+
+    def atom_at(self, v):
+        return None
+
+
+class _LeftLogMomentUnknown(Difference):
+    """A two-sided B whose E log(1 + B^-) the tree leaves open; no law on the tree does."""
+
+    def log1p_neg_moment_finite(self):
+        return None
+
+
+_UNIT_ATOM = Mixture(((0.5, PointMass(1.0)), (0.5, Uniform(0.0, 1.0))))
+
+
+@pytest.mark.parametrize("A, B, b, message", [
+    (Uniform(0.0, 2.0), _poly_exp_B(), 1.0, "P{A in (0,1]} = 1 not established"),
+    (_AtomsUnknown(0.5, 1.0), _poly_exp_B(), 1.0, "P{A=1} not symbolically derivable"),
+    (_UNIT_ATOM, _poly_exp_B(), 1.0, "E e^{bB} has no closed form"),
+    (_UNIT_ATOM, Exponential(1.0), 0.5, "E e^{bB} 1{A=1} < 1 not established"),  # E e^{B/2} P{A=1} = 2 * 0.5
+    (Uniform(0.0, 1.0), _LeftLogMomentUnknown(Exponential(1.0), Exponential(1.0)), 1.0,
+     "E log(1 + B^-) < inf not established"),
+], ids=["A-above-1", "unit-atom-unknown", "mgf-not-closed", "unit-atom-mass", "left-log-moment"])
+def test_thm1_refuses_naming_the_failed_precondition(A, B, b, message):
+    with pytest.raises(PredictionRefused, match=re.escape(message)):
+        thm1_constant(JointInput(A, B), GammaLike(1.0, -2.0, b), SimConfig(n_samples=100, master_seed=1))
 
 
 def test_thm1_threshold_dependence_uses_the_exponential_form():

@@ -166,11 +166,11 @@ def test_composed_moment_rejects_dependent_joints():
 def test_expected_phi_rA_boundary_classification():
     # integrable boundary: density vanishing fast enough at the top end
     st, val = expected_phi_rA(Beta(1.0, 2.0), Gamma(1.5, 1.0), 1.0)
-    assert st == "finite"
+    assert st is True
     st2, _ = expected_phi_rA(Beta(1.0, 1.0), Gamma(1.5, 1.0), 1.0)
-    assert st2 == "infinite"
+    assert st2 is False
     st3, val3 = expected_phi_rA(Uniform(0.0, 0.5), Exponential(1.0), 1.0)
-    assert st3 == "finite"
+    assert st3 is True
     assert val3 == pytest.approx(2.0 * math.log(2.0), rel=1e-9)
 
 
@@ -179,11 +179,11 @@ def test_expected_phi_rA_reads_the_lower_end_of_the_mgf_domain(lo):
     # phi(s) = 1/(1+s) for s > -1: E phi(2A) diverges when A reaches -1/2, at the open end as well as past it;
     # the domain is conservative, so the status is unknown, never infinite
     A, B = Uniform(lo, -0.1), Negated(Exponential(1.0))
-    assert expected_phi_rA(A, B, 2.0) == ("unknown", None)
+    assert expected_phi_rA(A, B, 2.0) == (None, None)
     assert exp_moment_criterion_mixedA(JointInput(A, B), 2.0).verdict == "Inconclusive"
     assert prop_main_part1(JointInput(A, B), 2.0).verdict == "Inconclusive"
     st, val = expected_phi_rA(Uniform(-0.4, -0.1), B, 2.0)
-    assert st == "finite"
+    assert st is True
     assert val == pytest.approx(0.5 * math.log(4.0) / 0.3, rel=1e-9)
 
 
@@ -194,7 +194,7 @@ def test_unconverged_phi_integral_gives_no_witness(monkeypatch):
     assert before.condition_trace[-1].witness == pytest.approx(2.0 * math.log(2.0), rel=1e-9)
     monkeypatch.setattr(quadrature, "integrate_finite",
                         lambda *args, **kwargs: quadrature.QuadResult(1.0, 1.0, 10_000, False))
-    assert expected_phi_rA(joint.A, joint.B, 1.0) == ("finite", None)
+    assert expected_phi_rA(joint.A, joint.B, 1.0) == (True, None)
     after = prop_main_part1(joint, 1.0)
     assert after.verdict == before.verdict == "Finite"
     assert [c.status for c in after.condition_trace] == [c.status for c in before.condition_trace]

@@ -327,19 +327,37 @@ def test_difference_left_tail_across_the_kink_of_a_bounded_left_part():
 _POLY_EXP = VARIANTS["SurvivalDefined"]
 
 
-@pytest.mark.parametrize("law", [
-    PointMass(0.5),
-    ATOMS,
-    Exponential(1.0),
-    Difference(Exponential(1.0), Uniform(0.0, 1.0)),
-    _POLY_EXP,
-    Scaled(Exponential(1.0), -2.0),
-], ids=["PointMass", "atomic-Mixture", "Exponential", "Difference", "SurvivalDefined", "Scaled-negative"])
+_SCALAR_FACT_LAWS = {
+    "PointMass": PointMass(0.5),
+    "atomic-Mixture": ATOMS,
+    "Exponential": Exponential(1.0),
+    "Difference": Difference(Exponential(1.0), Uniform(0.0, 1.0)),
+    "SurvivalDefined": _POLY_EXP,
+    "Scaled-negative": Scaled(Exponential(1.0), -2.0),
+}
+_SURVIVAL_LAWS = {**_SCALAR_FACT_LAWS, **{k: VARIANTS[k] for k in ("Gamma", "Beta", "Uniform", "Shifted", "Mixture")}}
+
+
+@pytest.mark.parametrize("fact, law", [
+    pytest.param("prob_below", law, id=name) for name, law in _SCALAR_FACT_LAWS.items()
+] + [
+    pytest.param("survival", law, id=f"{name}-survival") for name, law in _SURVIVAL_LAWS.items()
+])
 @pytest.mark.parametrize("y", [-1.5, -0.1, 0.5, 2.0])
-def test_prob_below_of_a_scalar_is_a_float_with_the_array_bits(law, y):
-    got = law.prob_below(y)
+def test_prob_below_of_a_scalar_is_a_float_with_the_array_bits(fact, law, y):
+    # P{D < y}, and P{D > y}, which callers read as a number without converting it
+    got = getattr(law, fact)(y)
     assert type(got) is float
-    assert np.float64(got).tobytes() == np.asarray(law.prob_below(np.array([y])), dtype=float)[:1].tobytes()
+    assert np.float64(got).tobytes() == np.asarray(getattr(law, fact)(np.array([y])), dtype=float)[:1].tobytes()
+
+
+def test_survival_defined_mgf_of_an_array_is_the_scalar_calls():
+    # the charfn path for a Beta(lam, 1) coefficient and a poly-exp increment asks B.mgf on arrays of complex s
+    s = np.array([[0.3 + 1.0j, -0.5 + 2.0j, 0.0j], [0.1j, 0.5 + 0.0j, -2.0 - 0.25j]])
+    got = _POLY_EXP.mgf(s)
+    assert got.shape == s.shape and got.dtype == complex
+    want = np.array([_POLY_EXP.mgf(v) for v in s.ravel().tolist()]).reshape(s.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("x", [-6.0, -1.0, -0.25, 0.5])

@@ -236,5 +236,5 @@ def test_compare_empirical_makes_one_tail_call(monkeypatch):
     report = compare_empirical(get_case("E3"), SimConfig(n_samples=5_000, master_seed=3))
     # one call for the CDF grid, one for the five tail anchors
     assert seen == [512, 5]
-    xs, refs = zip(*((row[0], row[3]) for row in report.tail_rows))
+    xs, refs = zip(*((row["x"], row["reference"]) for row in report.tail_rows))
     assert list(refs) == pytest.approx(ref(get_case("E3"), list(xs)), rel=1e-8)

@@ -165,6 +165,21 @@ def test_empirical_tail_values():
     assert abs(est5.p_hat - 0.124652) <= 3.0 * 0.00033
 
 
+def test_empirical_tail_counts_as_the_sorted_searchsorted_did():
+    # p_hat was 1 - searchsorted(sort(values), x, side="right")/n; the count gives the same integer, so the same bits
+    draws = sample_batch(GAMMA_CASE, SimConfig(n_samples=2_000, master_seed=5))
+    values = np.concatenate([draws.values, draws.values[:300], np.full(50, 2.5), [np.nan, np.nan]])
+    batch = SampleBatch(values, np.ones(values.size, dtype=np.int64), np.zeros(values.size, dtype=bool), {})
+    n, finite = values.size, np.sort(values[~np.isnan(values)])
+    xs = np.concatenate([finite[[0, 7, 500, 1999, -2, -1]], [2.5, np.nextafter(2.5, 0.0), finite[-1] + 1.0, 1e300,
+                                                              -1.0, np.inf, -np.inf, np.nan]])
+    sorted_vals = np.sort(values)
+    for t, x in zip(empirical_tail(batch, xs), xs.tolist()):
+        p = float(1.0 - np.searchsorted(sorted_vals, x, side="right") / n)
+        assert type(t.p_hat) is float and np.float64(t.p_hat).tobytes() == np.float64(p).tobytes()
+        assert np.float64(t.std_err).tobytes() == np.float64(math.sqrt(max(p * (1 - p), 0.0) / n)).tobytes()
+
+
 def test_median_of_means_matches_mean_for_light_tails():
     rng = np.random.default_rng(4)
     v = rng.normal(10.0, 1.0, size=64_000)
