@@ -261,7 +261,7 @@ def _one_over_x_term(joint: JointInput, tail_of_B: GammaLike, p1: float, K0: flo
         joint.B.survival(float(x[0]))
     except NoClosedForm:
         return omit("P{B > x} has no closed form")
-    a, c, b = tail_of_B.a, tail_of_B.c, tail_of_B.b
+    c, b = tail_of_B.c, tail_of_B.b
     t_est, t_se = median_of_means(tilted)
     note = f"E[AX e^{{bAX}}] = {t_est:.6g} (se {t_se:.2g}), g_A(1-) = {g:.6g}"
     K1 = -c * t_est
@@ -417,7 +417,7 @@ def perpetuity_mgf(joint: JointInput, s):
     elif (weights := B.exp_weights()) is not None:
         value_at = lambda v: _mgf_hyperexponential(weights, lam, v)
     else:
-        value_at = lambda v: _mgf_by_quadrature(B, lam, v, 1e-10)
+        value_at = lambda v: _mgf_by_quadrature(B, lam, v)
     sa = np.asarray(s)
     vals = [1.0 + 0.0j if v == 0 else value_at(v) for v in sa.ravel().tolist()]
     return vals[0] if sa.ndim == 0 else np.array(vals, dtype=complex).reshape(sa.shape)
@@ -450,10 +450,10 @@ def _mgf_hyperexponential(weights, lam: float, s) -> complex:
     return mgf_B * cmath.exp(-lam * log)
 
 
-def _mgf_by_quadrature(B: ScalarDistribution, lam: float, s: complex, tol: float) -> complex:
+def _mgf_by_quadrature(B: ScalarDistribution, lam: float, s: complex) -> complex:
     """M_B(s) exp(lam int_0^s (M_B(u) - 1)/u du), the exponent integrated along the segment u = tau s, 0 < tau < 1.
 
-    The quadrature asks B's MGF for each bisection's nodes in one array call.
+    The quadrature runs to 1e-10 and asks B's MGF for each bisection's nodes in one array call.
     """
     try:
         mean_b = B.mean()
@@ -467,7 +467,7 @@ def _mgf_by_quadrature(B: ScalarDistribution, lam: float, s: complex, tol: float
         out = (B.mgf(tau * s) - 1.0) / tau
         return out if mean_b is None else np.where(small, s * mean_b, out)
 
-    res = integrate_finite(g, 0.0, 1.0, tol, vectorized=True)
+    res = integrate_finite(g, 0.0, 1.0, 1e-10, vectorized=True)
     if not res.converged:
         raise PredictionRefused("CF exponent integral did not converge", quad=res)
     return complex(B.mgf(s) * np.exp(lam * res.value))

@@ -173,8 +173,7 @@ class ScalarDistribution:
         lo, _ = self.support()
         if lo > -_INF:
             return True
-        slo, shi = self.mgf_domain()
-        if slo < 0:
+        if self.mgf_domain()[0] < 0:
             return True
         return None
 
@@ -269,51 +268,6 @@ class PointMass(ScalarDistribution):
 
 
 @dataclass(frozen=True)
-class Exponential(ScalarDistribution):
-    rate: float
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValidationError("Exponential rate must be > 0")
-
-    def sample(self, rng, size):
-        return rng.exponential(scale=1.0 / self.rate, size=size)
-
-    def survival(self, x):
-        xa = _as_array(x)
-        return _maybe_scalar(np.where(xa < 0, 1.0, np.exp(-self.rate * np.maximum(xa, 0.0))), x)
-
-    def pdf(self, x):
-        xa = _as_array(x)
-        return _maybe_scalar(np.where(xa < 0, 0.0, self.rate * np.exp(-self.rate * np.maximum(xa, 0.0))), x)
-
-    def mgf(self, s, *, numeric_ok=True):
-        if type(s) is float:  # the array path's bits, without numpy's per-call cost
-            return self.rate / (self.rate - s) if s < self.rate else _INF
-        sa = _as_s(s)
-        inside = sa.real < self.rate
-        return _maybe_scalar(np.where(inside, self.rate / (self.rate - np.where(inside, sa, 0.0)), _INF), s)
-
-    def mean(self):
-        return 1.0 / self.rate
-
-    def support(self):
-        return (0.0, _INF)
-
-    def atom_at(self, v):
-        return 0.0
-
-    def mgf_domain(self):
-        return (-_INF, self.rate)
-
-    def mgf_pole(self):
-        return (self.rate, 1.0)
-
-    def _exp_terms(self):
-        return ((1.0, self.rate),)
-
-
-@dataclass(frozen=True)
 class Gamma(ScalarDistribution):
     shape: float
     rate: float
@@ -368,6 +322,39 @@ class Gamma(ScalarDistribution):
 
     def mgf_pole(self):
         return (self.rate, self.shape)
+
+
+@dataclass(frozen=True)
+class Exponential(Gamma):
+    """Gamma(1, rate): mean, support, atom, MGF domain and pole are Gamma's.  It keeps its own sampler (the
+    `rng.exponential` stream) and closed survival, density and MGF, whose bits Gamma's general forms do not give."""
+
+    shape: float = field(default=1.0, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.rate <= 0:
+            raise ValidationError("Exponential rate must be > 0")
+
+    def sample(self, rng, size):
+        return rng.exponential(scale=1.0 / self.rate, size=size)
+
+    def survival(self, x):
+        xa = _as_array(x)
+        return _maybe_scalar(np.where(xa < 0, 1.0, np.exp(-self.rate * np.maximum(xa, 0.0))), x)
+
+    def pdf(self, x):
+        xa = _as_array(x)
+        return _maybe_scalar(np.where(xa < 0, 0.0, self.rate * np.exp(-self.rate * np.maximum(xa, 0.0))), x)
+
+    def mgf(self, s, *, numeric_ok=True):
+        if type(s) is float:  # the array path's bits, without numpy's per-call cost
+            return self.rate / (self.rate - s) if s < self.rate else _INF
+        sa = _as_s(s)
+        inside = sa.real < self.rate
+        return _maybe_scalar(np.where(inside, self.rate / (self.rate - np.where(inside, sa, 0.0)), _INF), s)
+
+    def _exp_terms(self):
+        return ((1.0, self.rate),)
 
 
 @dataclass(frozen=True)
@@ -651,8 +638,7 @@ class Mixture(ScalarDistribution):
         return out
 
     def survival(self, x):
-        total = sum(w * np.asarray(d.survival(x)) for w, d in self.components)
-        return _maybe_scalar(total, x)
+        return self._mix(lambda d: d.survival(x))
 
     def _mix(self, fact):
         """Sum of w fact(d) over the components; None when a part is unknown."""

@@ -257,8 +257,6 @@ def _batch_panels(f, members, lo, width, a, w):
         u = a[j:j + step, None] + 0.5 * w[j:j + step, None] * _UNIT_NODES
         y = lo3 + width3 * u
         fy = np.asarray(f(y, members))
-        if fy.shape != y.shape:
-            fy = np.broadcast_to(fy, y.shape)
         half = width2 * w[None, j:j + step]
         k = half * (fy @ _WEIGHTS_K)
         vals.append(k)

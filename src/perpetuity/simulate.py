@@ -193,11 +193,9 @@ def check_convergence(joint: JointInput) -> ConvergenceVerdict:
     else:
         ev.append(f"E log|A| = {ela:.6g} (symbolic)")
     log_b = B.log1p_neg_moment_finite()
-    lo, hi = B.mgf_domain()
     # E log(1+|B|) also needs the right tail; any finite-MGF neighbourhood or
     # bounded support settles it.
-    blo, bhi = B.support()
-    right_ok = bhi < math.inf or hi > 0
+    right_ok = B.support()[1] < math.inf or B.mgf_domain()[1] > 0
     if log_b is True and right_ok:
         ev.append("E log(1+|B|) < inf (symbolic)")
         log_finite = True

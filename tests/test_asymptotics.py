@@ -84,6 +84,11 @@ def test_remainder_needs_a_positive_decay_margin():
         ExpPlusRemainder(C=1, b=1, r_decay_margin=0.0)
 
 
+def test_K_rejects_a_nonpositive_lam():
+    with pytest.raises(ValueError, match="^lam must be positive$"):
+        thm2_K(0.0, ExpPlusRemainder(C=1.0, b=1.0))
+
+
 def test_gamma_recurrence_accuracy():
     rng = np.random.default_rng(3)
     for z in rng.uniform(0.05, 49.0, size=200):
@@ -368,6 +373,13 @@ def test_e_exp_bB_from_survival_quadrature():
     res = _mgf_at_tail_rate(Shifted(B, -1.0), GammaLike(math.exp(-1.0), -2.0, 1.0))
     assert res.converged
     assert res.value == pytest.approx(2.0 / math.e, abs=1e-3)
+
+
+def test_e_exp_bB_is_not_converged_for_a_B_unbounded_below():
+    # the quadrature starts at B's lower support end; with none it answers nan, not converged, before integrating
+    res = _mgf_at_tail_rate(Difference(Exponential(1.0), Exponential(2.0)), GammaLike(1.0, -2.0, 1.0))
+    assert math.isnan(res.value) and not res.converged
+    assert res.abs_error_estimate == math.inf and res.subdivisions == 0
 
 
 def test_smoothed_form_tends_to_the_one_term_asymptote():

@@ -83,6 +83,30 @@ def test_charfn_bounded_by_one(dist):
         assert abs(dist.charfn(t)) <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("rate", [0.3, 1.0, 2.0, 7.5])
+def test_exponential_is_the_gamma_law_of_shape_one(rate):
+    law, gamma = Exponential(rate), Gamma(1.0, rate)
+    assert isinstance(law, Gamma)
+    for fact in ("mean", "support", "mgf_domain", "mgf_pole"):
+        assert getattr(law, fact)() == getattr(gamma, fact)(), fact
+    for v in (-1.0, 0.0, 0.5):
+        assert law.atom_at(v) == gamma.atom_at(v)
+    assert repr(Exponential(2.0)) == "Exponential(rate=2.0)"
+    assert Exponential(2.0) == Exponential(2.0) and Exponential(2.0) != Gamma(1.0, 2.0)
+    with pytest.raises(ValidationError, match="Exponential rate must be > 0"):
+        Exponential(0.0)
+    # same law, two computations: exp and a product against gammaincc and a density taken in logs.  To
+    # r x = 8 they agree within 1e-15; beyond, gammaincc's own rounding reaches 3.8e-15 by r x = 40
+    z = np.linspace(0.01, 40.0, 4000)
+    for zs, rel in ((z[z <= 8.0], 1e-15), (z, 5e-15)):
+        x = np.concatenate(([-1.0, 0.0], zs / rate))
+        np.testing.assert_allclose(law.survival(x), gamma.survival(x), rtol=rel, atol=0.0)
+        off = x[x != 0.0]  # at 0 itself Gamma's density reads 0 and Exponential's the right limit, rate
+        np.testing.assert_allclose(law.pdf(off), gamma.pdf(off), rtol=rel, atol=0.0)
+    s = np.concatenate((np.linspace(-20.0, 0.999 * rate, 200), [rate, 2.0 * rate]))
+    np.testing.assert_allclose(law.mgf(s), gamma.mgf(s), rtol=1e-15, atol=0.0)
+
+
 # points on every VARIANTS law's closed strip, and each leaf's MGF by an independent formula, in mpmath
 STRIP = [complex(re, im) for re in (-0.5, 0.3, 0.8) for im in (-7.0, -1.5, 0.4, 2.0, 12.0)]
 LEAF_MGF = {

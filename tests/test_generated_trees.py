@@ -7,7 +7,10 @@ among them, so that some mixtures state an exponential tail) or a
 to the law's own draws or to its survival; a fact that does not answer must
 refuse with NoClosedForm or None, never another exception.  A law that states
 an exponential tail, as B beside A ~ Beta(2, 1), gets a finite positive thm2_K
-constant or a PredictionRefused.
+constant or a PredictionRefused.  At each fixed s strictly inside
+`mgf_domain()` the MGF is finite and positive, and where 2s is inside too,
+so that e^{sD} has a finite variance, it lies within 5 standard errors of
+the draws' mean of e^{sD}.
 """
 
 import math
@@ -23,7 +26,8 @@ from test_distributions import VARIANTS
 
 N_TREES = 300
 N_DRAWS = 100_000
-FACTS = ("support", "survival", "ecdf", "atoms", "exp_tail", "prob_below", "thm2_K")
+FACTS = ("support", "survival", "ecdf", "atoms", "exp_tail", "prob_below", "thm2_K", "mgf", "mgf vs draws")
+MGF_S = (-0.45, -0.15, 0.15, 0.45)
 
 _LEAF = st.sampled_from(list(VARIANTS.values()))
 _ATOM = st.builds(PointMass, st.sampled_from([-1.25, 0.0, 0.4, 1.5]))
@@ -131,6 +135,19 @@ def _check(law, reached):
     if below is not None:
         check(1.0 - below, GRID)
         reached["prob_below"] += 1
+
+    s_lo, s_hi = law.mgf_domain()
+    inside = [v for v in MGF_S if s_lo < v < s_hi]
+    mgf = _ask(lambda: [law.mgf(v) for v in inside])
+    if inside and mgf is not None:
+        assert all(0.0 < m < math.inf for m in mgf), (inside, mgf)
+        reached["mgf"] += 1
+        pairs = [(v, m) for v, m in zip(inside, mgf) if s_lo < 2.0 * v < s_hi]
+        for v, m in pairs:
+            w = np.exp(v * draws)
+            # plus rounding: a point mass has no spread
+            assert abs(m - w.mean()) <= 5.0 * w.std(ddof=1) / math.sqrt(N_DRAWS) + 1e-12 * m, (v, m, w.mean())
+        reached["mgf vs draws"] += bool(pairs)
 
 
 def test_generated_trees_keep_every_invariant_they_answer():

@@ -198,9 +198,11 @@ def test_inverted_transform_refuses_a_tolerance_it_misses():
 
 
 def test_unconverged_reference_is_refused():
+    # E5 through the oracle's own batch, E3 through the tree's Difference quadrature
     xs = np.linspace(0.5, 12.0, 16)
-    with pytest.raises(oracle.ReferenceNotConverged, match=r"did not converge at x = 0\.5, "):
-        reference_survival(get_case("E5"), xs, tol=1e-30)
+    for case_id in ("E5", "E3"):
+        with pytest.raises(oracle.ReferenceNotConverged, match=r"did not converge at x = 0\.5, "):
+            reference_survival(get_case(case_id), xs, tol=1e-30)
 
 
 @pytest.mark.parametrize("case_id", ["E3", "E5"])

@@ -9,6 +9,7 @@ the series sampler.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,9 +25,19 @@ from perpetuity.asymptotics import (
     thm2_inputs,
     thm2_K,
 )
-from perpetuity.distributions import Beta, Difference, Exponential, Gamma, JointInput, Mixture, PointMass
+from perpetuity.distributions import (
+    Beta,
+    Difference,
+    Exponential,
+    Gamma,
+    JointInput,
+    Mixture,
+    PointMass,
+    ThresholdDependent,
+)
 from perpetuity.oracle import get_case
 from perpetuity.simulate import SimConfig, sample_batch
+from test_asymptotics import _LeftLogMomentUnknown, _poly_exp_B
 
 
 def _exp_mixture(parts):
@@ -62,7 +73,7 @@ def test_closed_transform_and_constant_match_their_references(right, left, lam, 
     weights = B.exp_weights()
     assert sum(a for a, _ in weights[0]) + sum(a for a, _ in weights[1]) == pytest.approx(1.0, abs=1e-14)
     closed = perpetuity_mgf(joint, 1j * t)
-    assert abs(closed - _mgf_by_quadrature(B, lam, 1j * t, 1e-10)) <= 1e-12
+    assert abs(closed - _mgf_by_quadrature(B, lam, 1j * t)) <= 1e-12
     pred = thm2_K(*thm2_inputs(joint))
     assert pred.constant == pytest.approx(_closed_K(lam, weights), rel=1e-12, abs=0.0)
 
@@ -91,9 +102,21 @@ def test_transform_on_the_real_axis_and_off_the_strip():
 def test_transform_outside_the_class_integrates_or_refuses():
     gamma_B = JointInput(Beta(1.5, 1.0), Gamma(2.0, 1.0))
     assert gamma_B.B.exp_weights() is None
-    assert perpetuity_mgf(gamma_B, 0.7j) == _mgf_by_quadrature(gamma_B.B, 1.5, 0.7j, 1e-10)
+    assert perpetuity_mgf(gamma_B, 0.7j) == _mgf_by_quadrature(gamma_B.B, 1.5, 0.7j)
     with pytest.raises(PredictionRefused, match="Beta"):
         perpetuity_mgf(JointInput(Beta(2.0, 2.0), Exponential(1.0)), 0.5j)
+
+
+@pytest.mark.parametrize("joint, message", [
+    (JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0)),
+     "the transform of X needs independent (A, B)"),
+    (JointInput(PointMass(0.5), _poly_exp_B()), "the product form needs B's MGF in closed form"),
+    (JointInput(Beta(2.0, 1.0), _LeftLogMomentUnknown(Exponential(1.0), Exponential(2.0))),
+     "E log(1 + B^-) < inf not established"),
+], ids=["threshold-dependent", "product-mgf-not-closed", "left-log-moment"])
+def test_transform_refuses_naming_the_failed_precondition(joint, message):
+    with pytest.raises(PredictionRefused, match=re.escape(message)):
+        perpetuity_mgf(joint, 0.5j)
 
 
 def test_series_sampler_matches_the_gamma_identity():

@@ -299,7 +299,7 @@ _T_GRID = (0.25, 1.0, 2.5, 6.0)
 
 def _cf_by_quadrature(joint):
     """The CF on _T_GRID by the exponent quadrature, which perpetuity_cf skips for these two-sided hyperexponential B's."""
-    return [_mgf_by_quadrature(joint.B, joint.A.beta_lam(), 1j * t, 1e-10) for t in _T_GRID]
+    return [_mgf_by_quadrature(joint.B, joint.A.beta_lam(), 1j * t) for t in _T_GRID]
 
 
 def _thm2_by_quadrature():
