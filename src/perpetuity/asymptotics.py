@@ -266,6 +266,8 @@ def _one_over_x_term(joint: JointInput, tail_of_B: GammaLike, p1: float, K0: flo
     note = f"E[AX e^{{bAX}}] = {t_est:.6g} (se {t_se:.2g}), g_A(1-) = {g:.6g}"
     K1 = -c * t_est
     if g > 0.0:
+        if joint.B.support()[0] == -math.inf:
+            return omit("B is unbounded below, so E e^{bB} is not integrated")
         mgf = _mgf_at_tail_rate(joint.B, tail_of_B)
         if not mgf.converged:
             return omit(f"E e^{{bB}} quadrature did not converge ({mgf.subdivisions} panels)")

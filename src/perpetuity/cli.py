@@ -114,20 +114,26 @@ def _require(cfg: dict, key: str) -> str:
 
 def _floats(val: str) -> list[float]:
     try:
-        return [float(v.strip()) for v in val.split(",") if v.strip()]
+        xs = [float(v.strip()) for v in val.split(",") if v.strip()]
     except ValueError as e:
         raise ConfigError(f"expected comma-separated numbers, got {val!r}") from e
+    if not all(map(math.isfinite, xs)):
+        raise ConfigError(f"expected comma-separated finite numbers, got {val!r}")
+    return xs
 
 
 def _number(cfg: dict, key: str, default=None, kind=float):
-    """cfg[key] as a float (or int), or `default` when the key is absent; no default means required."""
+    """cfg[key] as a finite float (or an int), or `default` when the key is absent; no default means required."""
     if key not in cfg and default is not None:
         return default
     val = _require(cfg, key)
     try:
-        return kind(val)
+        x = kind(val)
     except ValueError as e:
         raise ConfigError(f"{key}: expected {'an integer' if kind is int else 'a number'}, got {val!r}") from e
+    if kind is float and not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {val!r}")
+    return x
 
 
 def _paired(cfg: dict, side: str, first: str, second: str):
@@ -261,6 +267,7 @@ def _emit_json(payload: dict, path: Path, no_timestamp: bool):
 
 def cmd_simulate(cfg: dict, args) -> int:
     joint = build_joint(cfg)
+    xs = _floats(cfg["sim.x_grid"]) if "sim.x_grid" in cfg else None
     rep = validate_nondegeneracy(joint)
     if not rep.ok:
         raise ConfigError("; ".join(rep.violations))
@@ -279,8 +286,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         "truncation": batch.truncation_report,
         "convergence": {"verdict": conv.verdict, "e_log_abs_A": conv.e_log_abs_A},
     }
-    if "sim.x_grid" in cfg:
-        xs = _floats(cfg["sim.x_grid"])
+    if xs is not None:
         summary["empirical_tail"] = [
             {"x": t.x, "p_hat": t.p_hat, "std_err": t.std_err} for t in empirical_tail(batch, xs)
         ]
@@ -304,6 +310,7 @@ def cmd_moments(cfg: dict, args) -> int:
 
 def cmd_tail(cfg: dict, args) -> int:
     joint = build_joint(cfg)
+    xs = _floats(cfg["sim.x_grid"]) if args.verify and "sim.x_grid" in cfg else None
     misses = []
     prediction = None
 
@@ -340,9 +347,7 @@ def cmd_tail(cfg: dict, args) -> int:
     if args.verify:
         # a Monte Carlo route has already drawn this batch from the same `sim`
         batch = prediction.batch if prediction.batch is not None else sample_batch(joint, sim)
-        if "sim.x_grid" in cfg:
-            xs = _floats(cfg["sim.x_grid"])
-        else:
+        if xs is None:
             xs = list(np.quantile(batch.values, TAIL_LEVELS))
         rows = []
         for t in empirical_tail(batch, xs):
@@ -378,8 +383,6 @@ def cmd_validate(cfg: dict, args) -> int:
 def cmd_charfn(cfg: dict, args) -> int:
     joint = build_joint(cfg)
     ts = _floats(cfg.get("charfn.t_grid", "0.25,0.5,1,2,4"))
-    if not all(map(math.isfinite, ts)):
-        raise ConfigError("charfn.t_grid: every t must be finite")
     try:
         vals = perpetuity_cf(joint, np.array(ts))
     except PredictionRefused as e:

@@ -323,10 +323,13 @@ class Gamma(ScalarDistribution):
     def mgf_pole(self):
         return (self.rate, self.shape)
 
+    def log_abs_moment(self):
+        return float(special.digamma(self.shape)) - math.log(self.rate)
+
 
 @dataclass(frozen=True)
 class Exponential(Gamma):
-    """Gamma(1, rate): mean, support, atom, MGF domain and pole are Gamma's.  It keeps its own sampler (the
+    """Gamma(1, rate): mean, support, atom, MGF domain, pole and E log D are Gamma's.  It keeps its own sampler (the
     `rng.exponential` stream) and closed survival, density and MGF, whose bits Gamma's general forms do not give."""
 
     shape: float = field(default=1.0, init=False, repr=False)
@@ -484,12 +487,11 @@ class Uniform(ScalarDistribution):
         return 1.0 if (self.lo, self.hi) == (0.0, 1.0) else None
 
     def log_abs_moment(self):
-        if self.lo >= 0:
-            def antider(u):
-                return u * (math.log(u) - 1.0) if u > 0 else 0.0
+        """(F(hi) - F(lo)) / (hi - lo) with F(u) = u (log|u| - 1), an antiderivative of log|u| through 0 too."""
+        def antider(u):
+            return u * (math.log(abs(u)) - 1.0) if u else 0.0
 
-            return (antider(self.hi) - antider(self.lo)) / (self.hi - self.lo)
-        return None
+        return (antider(self.hi) - antider(self.lo)) / (self.hi - self.lo)
 
 
 @dataclass(frozen=True)

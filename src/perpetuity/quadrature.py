@@ -18,7 +18,6 @@ one vectorized integrand call per refinement round.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -113,14 +112,6 @@ def integrate_finite(f: Callable, lo: float, hi: float, tol: float, *, vectorize
 _PROBE_CHUNK = 32
 
 
-def _probe_points(y: float, step: float, limit: float):
-    """y, y + step, y + 2 step, ... as Python floats, accumulated one step at a time, up to limit."""
-    y, step = float(y), float(step)
-    while y <= limit:
-        yield y
-        y += step
-
-
 def integrate_semi_infinite(f: Callable, lo: float, tol: float, decay_hint: float, *,
                             vectorized: bool = False) -> QuadResult:
     """Integral of f over (lo, inf) for integrands decaying like e^{-decay_hint*y}.
@@ -139,21 +130,20 @@ def integrate_semi_infinite(f: Callable, lo: float, tol: float, decay_hint: floa
     threshold = tol * 1e-3
     step = 1.0 / decay_hint
     limit = lo + 1e4 / decay_hint
-    ys = _probe_points(lo + step, step, limit)
-    chunks = iter(lambda: list(itertools.islice(ys, _PROBE_CHUNK)), [])
-    # map is lazy: the scalar scan calls f at no probe beyond the truncation point
-    values = (lambda chunk: f(np.array(chunk))) if vectorized else (lambda chunk: map(f, chunk))
-    probes = itertools.chain.from_iterable(zip(chunk, values(chunk)) for chunk in chunks)
-    consecutive = 0
-    trunc = None
-    for y, fy in probes:
-        if abs(fy) < threshold:
-            consecutive += 1
+    # probes lo + step, lo + 2 step, ... as Python floats, accumulated one step at a time
+    y, step = float(lo + step), float(step)
+    consecutive, trunc = 0, None
+    while trunc is None and y <= limit:
+        chunk = []
+        while y <= limit and len(chunk) < _PROBE_CHUNK:
+            chunk.append(y)
+            y += step
+        # map is lazy: the scalar scan calls f at no probe beyond the truncation point
+        for p, fp in zip(chunk, f(np.array(chunk)) if vectorized else map(f, chunk)):
+            consecutive = consecutive + 1 if abs(fp) < threshold else 0
             if consecutive == 3:
-                trunc = y
+                trunc = p
                 break
-        else:
-            consecutive = 0
     if trunc is None:
         return QuadResult(math.nan, math.inf, 0, False)
     res = integrate_finite(f, lo, trunc, tol, vectorized=vectorized)

@@ -170,28 +170,19 @@ def sample_batch(joint: JointInput, cfg: SimConfig) -> SampleBatch:
 class ConvergenceVerdict:
     verdict: str  # "converges" | "diverges" | "unknown"
     e_log_abs_A: Optional[float]
-    e_log_abs_A_source: str
     evidence: list = field(default_factory=list)
 
 
 def check_convergence(joint: JointInput) -> ConvergenceVerdict:
-    """E log|A| < 0 and E log(1+|B|) < inf imply a.s. convergence of the series."""
+    """E log|A| < 0 and E log(1+|B|) < inf imply a.s. convergence of the series.
+
+    Both facts are read off the tree and nothing is drawn: E log|A| >= 0
+    diverges, and a law that states no E log|A| gives "unknown".
+    """
     A = joint.A_marginal()
     B = joint.B
-    ev = []
     ela = A.log_abs_moment()
-    source = "symbolic"
-    if ela is None:
-        rng = np.random.default_rng(20_240_901)
-        draws = np.log(np.abs(A.sample(rng, 100_000)) + 1e-300)
-        ela = float(draws.mean())
-        se = float(draws.std(ddof=1) / math.sqrt(draws.size))
-        source = "monte-carlo"
-        ev.append(f"E log|A| ~= {ela:.5f} +- {se:.5f} (MC)")
-        if abs(ela) < 3 * se:
-            return ConvergenceVerdict("unknown", ela, source, ev)
-    else:
-        ev.append(f"E log|A| = {ela:.6g} (symbolic)")
+    ev = ["E log|A| not symbolically derivable" if ela is None else f"E log|A| = {ela:.6g} (symbolic)"]
     log_b = B.log1p_neg_moment_finite()
     # E log(1+|B|) also needs the right tail; any finite-MGF neighbourhood or
     # bounded support settles it.
@@ -204,10 +195,10 @@ def check_convergence(joint: JointInput) -> ConvergenceVerdict:
         ev.append("E log(1+|B|) not symbolically settled")
     if ela is not None and ela >= 0:
         ev.append("E log|A| >= 0: the series diverges")
-        return ConvergenceVerdict("diverges", ela, source, ev)
-    if ela is not None and ela < 0 and log_finite:
-        return ConvergenceVerdict("converges", ela, source, ev)
-    return ConvergenceVerdict("unknown", ela, source, ev)
+        return ConvergenceVerdict("diverges", ela, ev)
+    if ela is not None and log_finite:
+        return ConvergenceVerdict("converges", ela, ev)
+    return ConvergenceVerdict("unknown", ela, ev)
 
 
 # ---------------------------------------------------------------------------

@@ -582,6 +582,10 @@ CONFIG_REFUSALS = {
                                             "moments.support_unbounded: expected true or false, got 'yes'"),
     "unknown-A-with-its-keys": ("moments", EXP_B + "joint.A.variant = foo\njoint.A.p = 1\nmoments.r = 0.5\n",
                                 "joint.A.variant: unknown variant 'foo'"),
+    "non-finite-number": ("moments", HALF_A + EXP_B + "moments.r = inf\n",
+                          "moments.r: expected a finite number, got 'inf'"),
+    "non-finite-list": ("simulate", HALF_A + EXP_B + "sim.x_grid = 1,nan\n",
+                        "expected comma-separated finite numbers, got '1,nan'"),
 }
 
 
@@ -623,3 +627,52 @@ def test_tail_verify_checks_the_configured_grid(tmp_path, capsys):
     lines = (out / "ratio.csv").read_text().splitlines()
     assert lines[0] == "x,predicted,empirical,std_err,ratio"
     assert [float(line.split(",")[0]) for line in lines[1:]] == [1.0, 2.5, 4.0]
+
+
+def test_tail_verify_refuses_a_non_finite_grid_before_writing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("tail", write(tmp_path, X_GRID.replace("1, 2.5,4", "1,nan")), out, "--verify") == 2
+    assert capsys.readouterr().err == "config error: expected comma-separated finite numbers, got '1,nan'\n"
+    assert not out.exists()
+
+
+# a uniform A on (0.5, 1) and B = Exp(1) - Exp(2): no Beta(lam, 1) A and no inherited tail, so `tail` takes Thm1
+THM1_DIFFERENCE = """
+joint.A.variant = uniform
+joint.A.lo = 0.5
+joint.A.hi = 1
+joint.B.variant = exp_difference
+joint.B.left.weights = 1
+joint.B.left.rates = 1
+joint.B.right.weights = 1
+joint.B.right.rates = 2
+tail.c = -2
+tail.b = 1
+sim.n_samples = 2000
+"""
+
+
+def test_tail_refuses_a_non_finite_tail_parameter(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("tail", write(tmp_path, THM1_DIFFERENCE + "tail.a = nan\n"), out) == 5
+    err = capsys.readouterr().err
+    assert "  - smoothed-tail route: tail.a: expected a finite number, got 'nan'\n" in err
+    assert not (out / "prediction.json").exists()
+
+
+def test_thm1_trace_names_the_unbounded_support_of_B(tmp_path):
+    out = tmp_path / "o"
+    assert run("tail", write(tmp_path, THM1_DIFFERENCE + "tail.a = 1\n"), out) == 0
+    pred = json.loads((out / "prediction.json").read_text())
+    assert pred["theorem"] == "Thm1"
+    trace = pred["preconditions_trace"]
+    assert "1/x term omitted: B is unbounded below, so E e^{bB} is not integrated" in trace
+    assert not any("did not converge" in line for line in trace)
+
+
+def test_simulate_reports_the_exact_E_log_abs_A_of_a_straddling_uniform(tmp_path):
+    text = "joint.A.variant = uniform\njoint.A.lo = -0.5\njoint.A.hi = 0.5\n" + EXP_B + "sim.n_samples = 1000\n"
+    out = tmp_path / "o"
+    assert run("simulate", write(tmp_path, text), out) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["convergence"] == {"e_log_abs_A": math.log(0.5) - 1.0, "verdict": "converges"}

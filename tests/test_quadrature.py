@@ -248,6 +248,30 @@ def test_refusal_costs_no_more_than_the_scan(vectorized):
     assert f.points <= 10_000 + quadrature._PROBE_CHUNK
 
 
+
+@pytest.mark.parametrize("decay_hint", [0.7, 2.0], ids=["one-chunk", "two-chunks"])
+def test_scalar_scan_stops_at_the_truncation_point(decay_hint, monkeypatch):
+    # e^{-y} falls below 1e-13 at the 21st of the 0.7 probes and the 60th of the 2.0 ones, so the scan
+    # ends 2 probes later, inside a chunk of _PROBE_CHUNK = 32: f is called at no probe past that point
+    f = _Points(lambda y: math.exp(-y))
+    scanned = []
+    finite = quadrature.integrate_finite
+
+    def spy(g, lo, hi, tol, **kw):
+        scanned.append((f.points, hi))
+        return finite(g, lo, hi, tol, **kw)
+
+    monkeypatch.setattr(quadrature, "integrate_finite", spy)
+    assert integrate_semi_infinite(f, 0.0, 1e-10, decay_hint).converged
+    (points, trunc), = scanned
+    step = 1.0 / decay_hint
+    y, probes = step, 1
+    while y != trunc:
+        y += step
+        probes += 1
+    assert probes == {0.7: 23, 2.0: 62}[decay_hint]
+    assert points == probes
+
 # -- the scalar path's Python-float nodes give the np.float64 nodes' results --
 
 def _reference_panels(f, edges, vectorized):

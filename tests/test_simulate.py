@@ -1,16 +1,20 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special, stats
 
+from perpetuity import simulate
 from perpetuity.distributions import (
     Beta,
     Exponential,
     Gamma,
     JointInput,
+    Mixture,
     NoClosedForm,
     PointMass,
+    Shifted,
     SurvivalDefined,
     ThresholdDependent,
     Uniform,
@@ -220,21 +224,45 @@ def test_check_convergence_verdicts():
     for lam in (0.5, 1.0, 3.0):
         v = check_convergence(JointInput(Beta(lam, 1.0), Exponential(1.0)))
         assert v.e_log_abs_A == pytest.approx(-1.0 / lam, rel=1e-12)
-        assert v.e_log_abs_A_source == "symbolic"
         assert v.verdict == "converges"
 
     v3 = check_convergence(JointInput(Uniform(0.0, 1.0), Exponential(1.0)))
     assert v3.e_log_abs_A == pytest.approx(-1.0, rel=1e-12)
 
 
-def test_check_convergence_estimates_E_log_abs_A_by_monte_carlo():
-    # a uniform A straddling 0 has no closed E log|A|; the CLI reaches this with joint.A.lo < 0
+def test_check_convergence_reads_E_log_abs_A_off_the_tree():
+    # |A| = V/2 with V ~ U(0, 1): E log|A| = log 0.5 - 1, the antiderivative u (log|u| - 1) taken through 0
     v = check_convergence(JointInput(Uniform(-0.5, 0.5), Exponential(1.0)))
     assert v.verdict == "converges"
-    assert v.e_log_abs_A_source == "monte-carlo"
-    assert v.evidence[0].endswith("(MC)")
-    # |A| = V/2 with V ~ U(0, 1): E log|A| = log 0.5 - 1, and log V has variance 1 over 10^5 draws
-    assert abs(v.e_log_abs_A - (math.log(0.5) - 1.0)) < 4 / math.sqrt(100_000)
+    assert v.e_log_abs_A == math.log(0.5) - 1.0
+    with mp.workdps(30):
+        for lo, hi in ((-0.9, -0.1), (-0.3, 1.2)):
+            nodes = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+            want = mp.quad(lambda u: mp.log(abs(u)), nodes) / (mp.mpf(hi) - lo)
+            assert Uniform(lo, hi).log_abs_moment() == pytest.approx(float(want), rel=1e-14, abs=0.0)
+        for law in (Gamma(2.0, 8.0), Exponential(3.0)):
+            k, r = mp.mpf(law.shape), mp.mpf(law.rate)
+            want = mp.quad(lambda x: mp.log(x) * r ** k * x ** (k - 1) * mp.exp(-r * x) / mp.gamma(k),
+                           [0, 1, mp.inf])
+            assert law.log_abs_moment() == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    # an offset law states no E log|A|: the verdict is unknown, not a guess from draws
+    v = check_convergence(JointInput(Shifted(Uniform(0.0, 1.0), 0.2), Exponential(1.0)))
+    assert v.verdict == "unknown"
+    assert v.e_log_abs_A is None
+    assert v.evidence[0] == "E log|A| not symbolically derivable"
+
+
+def test_check_convergence_draws_nothing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("check_convergence drew a sample")
+
+    monkeypatch.setattr(simulate.np.random, "default_rng", no_draws)
+    monkeypatch.setattr(simulate, "_chunk_rng", no_draws)
+    atoms = Mixture(((0.5, PointMass(0.25)), (0.5, PointMass(0.75))))
+    joints = [JointInput(A, Exponential(1.0)) for A in (Beta(2.0, 1.0), Uniform(-0.5, 0.5), PointMass(0.5), atoms)]
+    joints.append(JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0)))
+    for joint in joints:
+        assert check_convergence(joint).verdict == "converges"
 
 
 def test_csv_export_format(tmp_path):
