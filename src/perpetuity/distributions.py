@@ -750,10 +750,15 @@ class Difference(ScalarDistribution):
         or jump inside its range.  Otherwise R needs a density, and P{R < y0} +
         int_{y0}^{Y} S_L(x + y) f_R(y) dy is one `integrate_batch` over x, cut
         at both ends of L's support: y0 = max(rlo, llo - x), and Y at most
-        lhi - x, past which S_L(x + y) is 0.  Of the budget tol S_L(x + rlo), a
-        bound on the value, the part beyond Y, where S_R <= tol/2, takes one
-        half and the quadrature the other, so the far tail keeps its relative
-        digits.  Raises NoClosedForm, naming the x values, if an integral misses it.
+        lhi - x, past which S_L(x + y) is 0.  The integral is taken in t =
+        sqrt(y - y0), as int_0^{sqrt(Y - y0)} S_L(x + y0 + t^2) f_R(y0 + t^2) 2t dt:
+        at y0 a gamma-like density's (y - y0)^{k-1}, times 2t, becomes t^{2k-1},
+        and a kink (x + y - llo)^k of S_L becomes t^{2k}, both smooth for k =
+        1.5, so the bisection need not close in on the endpoint round by round.
+        Of the budget tol S_L(x + rlo), a bound on the value, the part beyond Y,
+        where S_R <= tol/2, takes one half and the quadrature the other, so the
+        far tail keeps its relative digits.  Raises NoClosedForm, naming the x
+        values, if an integral misses it.
         """
         le, ri = self.left, self.right
         xa = _as_array(x)
@@ -782,8 +787,13 @@ class Difference(ScalarDistribution):
         if not np.all(np.isfinite(lo)):
             raise NoClosedForm("Difference: both parts unbounded below")
         hi = np.minimum(rhi if rhi < _INF else _survival_quantile(ri, 0.5 * tol, float(lo.min())), lhi - flat)
-        res = integrate_batch(lambda y, i: np.asarray(le.survival(flat[i, None, None] + y)) * np.asarray(ri.pdf(y)),
-                              lo, np.maximum(hi, lo), 0.5 * tol * np.asarray(le.survival(flat + rlo)))
+
+        def integrand(t, i):
+            y = lo[i, None, None] + t * t
+            return np.asarray(le.survival(flat[i, None, None] + y)) * np.asarray(ri.pdf(y)) * (2.0 * t)
+
+        res = integrate_batch(integrand, 0.0, np.sqrt(np.maximum(hi - lo, 0.0)),
+                              0.5 * tol * np.asarray(le.survival(flat + rlo)))
         refuse_unconverged(res, flat, NoClosedForm, "Difference survival")
         out = 1.0 - np.asarray(ri.survival(lo)) + res.value
         return _maybe_scalar(out.reshape(xa.shape), x)

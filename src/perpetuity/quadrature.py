@@ -159,8 +159,9 @@ _BATCH_NODES = 1 << 17
 # Narrowest panel of the unit interval that is still split: much below it
 # the nodes on a long member interval run together in double precision.
 _MIN_WIDTH = 2.0 ** -40
-# Panels of a chunk's shared bisection; E3's `Difference` and E5's convolution
-# take at most a few dozen on the validate grid and at x = 20..60 to tol 1e-12.
+# Panels of a chunk's shared bisection; E3's `Difference`, in t = sqrt(y - y0),
+# takes at most 7 on the validate grid and 10 at x = 20..60 to tol 1e-12, and
+# E5's convolution 1.
 _BATCH_MAX_PANELS = 4000
 
 

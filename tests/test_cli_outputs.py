@@ -10,7 +10,10 @@ the affine node replaced `Negated`, `Shifted` and `Scaled`; the
 Frullani sum of no terms (its trace line and `source` moved, not its
 constant); the `validate.E4` one since E4's reference became a contour
 inversion of its transform (KS moved by 7e-11, the tail references by at
-most 5.3e-8 relative, the exit code stayed 6).
+most 5.3e-8 relative, the exit code stayed 6); the `validate.E3` one since
+`Difference.survival` integrates in t = sqrt(y - lo) (KS moved by 4.5e-13,
+the five tail references by at most 5e-12 relative, toward mpmath's values,
+the exit code stayed 0).
 """
 
 import contextlib

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from perpetuity import quadrature
 from perpetuity.distributions import (
     Affine,
     Beta,
@@ -411,10 +410,34 @@ def test_affine_pdf_mean_and_log_moment_follow_the_map():
     assert Affine(PointMass(1.0), 3.0).pdf(0.3) is None  # no density to map
 
 
-def test_unconverged_difference_survival_raises(monkeypatch):
-    monkeypatch.setattr(quadrature, "_BATCH_MAX_PANELS", 8)
+def test_unconverged_difference_survival_raises():
+    # no double-precision sum meets tol 1e-30, so every member misses it
     with pytest.raises(NoClosedForm, match=r"Difference survival did not converge at x = "):
-        Difference(Gamma(1.5, 1.0), Gamma(1.5, 1.0)).survival(np.linspace(-5.0, 5.0, 11))
+        Difference(Gamma(1.5, 1.0), Gamma(1.5, 1.0)).survival(np.linspace(-5.0, 5.0, 11), tol=1e-30)
+
+
+def _mp_gamma_difference(kl, rl, kr, rr, x):
+    """P{L - R > x} for L ~ Gamma(kl, rl), R ~ Gamma(kr, rr), as P{R < lo} + int_lo^inf S_L(x + y) f_R(y) dy.
+
+    The integral is taken in u = y^kr, where f_R(y) dy = rr^kr e^{-rr y} du / Gamma(kr + 1) has no
+    singularity at y = 0; below lo = max(0, -x), S_L(x + y) is 1.  mp.re drops the imaginary part of
+    rounding size that gammainc gives where x + y dips below 0 at u = lo^kr.
+    """
+    kl, rl, kr, rr, x = map(mp.mpf, (kl, rl, kr, rr, x))
+    lo = max(mp.mpf(0), -x)
+    f = lambda u: mp.gammainc(kl, rl * (x + u ** (1 / kr)), mp.inf, regularized=True) * mp.exp(-rr * u ** (1 / kr))
+    body = mp.quad(f, [lo**kr, (lo + 4) ** kr, mp.inf])
+    return mp.gammainc(kr, 0, rr * lo, regularized=True) + rr**kr / mp.gamma(kr + 1) * mp.re(body)
+
+
+def test_difference_of_small_shape_gammas_matches_mpmath():
+    # bound stated before the run: 1e-10 relative.  R's density blows up like y^{-0.6} at 0, where
+    # the quadrature in the variable y itself refused every x >= 0 at tol 1e-10
+    xs = [-3.0, -0.5, 0.0, 0.2, 1.0, 4.0, 10.0]
+    got = Difference(Gamma(0.3, 1.0), Gamma(0.4, 2.0)).survival(np.array(xs))
+    with mp.workdps(20):
+        exact = [float(_mp_gamma_difference(0.3, 1.0, 0.4, 2.0, x)) for x in xs]
+    assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_difference_mgf_and_domain():

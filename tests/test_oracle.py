@@ -147,6 +147,31 @@ def test_reference_survival_matches_mpmath(case_id, x):
     assert abs(got - exact) <= 1e-6 * exact
 
 
+@pytest.mark.parametrize("x", [-7.716, 0.0, 12.0, 20.0, 50.0])
+def test_e3_reference_keeps_relative_digits_at_a_tight_tolerance(x):
+    # bound stated before the run: 1e-13 relative (the quadrature in y itself read 3.5e-14 here, 5.1e-12 at tol 1e-10)
+    with mp.workdps(30):
+        exact = float(_mp_e3(x))
+    assert reference_survival(get_case("E3"), x, tol=1e-12) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_e3_reference_takes_a_few_refinement_rounds(monkeypatch):
+    # bound stated before the run: at most 6 integrand calls; bisecting toward y^{1/2} at the
+    # lower end, as the variable y itself needs, took 21
+    calls = []
+    batch = quadrature.integrate_batch
+
+    def counted(f, *args, **kwargs):
+        def g(y, i):
+            calls.append(y.shape)
+            return f(y, i)
+        return batch(g, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_batch", counted)
+    reference_survival(get_case("E3"), np.linspace(0.5, 10.0, 8))
+    assert 0 < len(calls) <= 6
+
+
 def test_e3_exact_law_keeps_its_gamma_parameters():
     # perfbench builds its Difference(Gamma, Gamma) timing law from these fields
     law = get_case("E3").exact_X_law

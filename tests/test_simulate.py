@@ -184,6 +184,21 @@ def test_empirical_tail_counts_as_the_sorted_searchsorted_did():
         assert np.float64(t.std_err).tobytes() == np.float64(math.sqrt(max(p * (1 - p), 0.0) / n)).tobytes()
 
 
+def test_empirical_tail_equals_the_per_x_count():
+    # the counting pass per x that the sort replaced, on an unsorted grid with repeats:
+    # a NaN x counts every draw, and a NaN draw is below no x
+    draws = sample_batch(GAMMA_CASE, SimConfig(n_samples=3_000, master_seed=9))
+    values = np.concatenate([draws.values, [np.nan, 2.0, 2.0, np.inf, -np.inf, np.nan]])
+    batch = SampleBatch(values, np.ones(values.size, dtype=np.int64), np.zeros(values.size, dtype=bool), {})
+    xs = np.array([4.0, 2.0, np.nan, -np.inf, 2.0, np.inf, 0.5, values[17], np.nan, -1.0, 4.0, values[17], 1e300])
+    n = values.size
+    for t, x in zip(empirical_tail(batch, xs), xs.tolist()):
+        p = float(1.0 - (n if x != x else np.count_nonzero(values <= x)) / n)
+        assert t.x == x or (x != x and t.x != t.x)
+        assert np.float64(t.p_hat).tobytes() == np.float64(p).tobytes()
+        assert np.float64(t.std_err).tobytes() == np.float64(math.sqrt(max(p * (1 - p), 0.0) / n)).tobytes()
+
+
 def test_median_of_means_matches_mean_for_light_tails():
     rng = np.random.default_rng(4)
     v = rng.normal(10.0, 1.0, size=64_000)
