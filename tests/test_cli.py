@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import perpetuity
 import perpetuity.cli as cli_module
-from perpetuity import asymptotics
+from perpetuity import asymptotics, oracle
 from perpetuity.cli import (
     ConfigError,
     config_hash,
@@ -18,7 +19,7 @@ from perpetuity.cli import (
     parse_config_text,
     serialize_config,
 )
-from perpetuity.distributions import ScalarDistribution
+from perpetuity.distributions import Beta, JointInput, ScalarDistribution
 from perpetuity.simulate import sample_batch
 
 BASE = """
@@ -285,9 +286,9 @@ sim.seed = 7
 """
 VERIFY_POLY_EXP = POLY_EXP.replace("sim.seed = 3", "sim.seed = 7")
 ATOMS_PREDICTION = """{
-  "constant": 6.121870756466078,
+  "constant": 6.424669681384922,
   "form": {
-    "a": 6.121870756466078,
+    "a": 6.424669681384922,
     "b": 1.0,
     "c": 0.0
   },
@@ -297,22 +298,22 @@ ATOMS_PREDICTION = """{
     "constant by median-of-means over 20000 draws"
   ],
   "source": "MonteCarlo",
-  "std_err": 0.3367447669141356,
+  "std_err": 1.0424643579541397,
   "theorem": "PropMainII"
 }
 """
 ATOMS_RATIO = """x,predicted,empirical,std_err,ratio
-6.37036662,0.01047777543,0.01,0.000703562364,0.9544010622
-7.633915376,0.002961534754,0.003,0.0003867169508,1.012988281
-8.548652898,0.001186455285,0.001,0.0002234949664,0.8428467658
-9.716413445,0.0003690620703,0.0003,0.0001224561146,0.8128713952
-10.6787229,0.0001409852664,0.0001,7.07071425e-05,0.7092939751
+6.433027268,0.01032815053,0.01,0.000703562364,0.9682275608
+7.629207927,0.003122683006,0.003,0.0003867169508,0.9607123088
+8.89077436,0.0008843752083,0.001,0.0002234949664,1.130741783
+9.793769884,0.000358484668,0.0003,0.0001224561146,0.8368558737
+11.71110048,5.269682961e-05,0.0001,7.07071425e-05,1.897647368
 """
 POLY_EXP_PREDICTION = """{
-  "K1": 6.189677350404931,
-  "constant": 1.7390116918138703,
+  "K1": 6.286469462708738,
+  "constant": 1.7410042057722004,
   "form": {
-    "a": 1.7390116918138703,
+    "a": 1.7410042057722004,
     "b": 1.0,
     "c": -2.0
   },
@@ -322,19 +323,19 @@ POLY_EXP_PREDICTION = """{
     "P{A=1} = 0, denominator 1",
     "E log(1+B^-) < inf",
     "E f(X) by median-of-means over 20000 draws",
-    "1/x term K1 = 6.18968: E[AX e^{bAX}] = 1.35577 (se 0.27), g_A(1-) = 1, E e^{bB} = 2.00006 (err 0.00018, 9 panels)"
+    "1/x term K1 = 6.28647: E[AX e^{bAX}] = 1.40218 (se 0.15), g_A(1-) = 1, E e^{bB} = 2.00006 (err 0.00018, 9 panels)"
   ],
   "source": "MonteCarlo",
-  "std_err": 0.03763365259512307,
+  "std_err": 0.026843102837406794,
   "theorem": "Thm1"
 }
 """
 POLY_EXP_RATIO = """x,predicted,empirical,std_err,ratio
-3.045230938,0.0109675875,0.01,0.000703562364,0.9117775442
-3.849549291,0.003029723855,0.003,0.0003867169508,0.9901892526
-4.537357737,0.001083056398,0.001,0.0002234949664,0.9233129516
-5.442213225,0.0003000885819,0.0003,0.0001224561146,0.9997048143
-5.790398193,0.0001861502157,0.0001,7.07071425e-05,0.5372005593
+3.068173985,0.01064979979,0.01,0.000703562364,0.9389847879
+3.797777042,0.003308058291,0.003,0.0003867169508,0.9068764019
+4.724952126,0.0008313509281,0.001,0.0002234949664,1.202861471
+5.314830988,0.0003605998112,0.0003,0.0001224561146,0.8319471911
+7.042943495,3.556374818e-05,0.0001,7.07071425e-05,2.8118521
 """
 
 
@@ -385,9 +386,15 @@ def test_validate_unknown_case_exits_2(tmp_path, capsys):
     assert "E9" in capsys.readouterr().err
 
 
-def test_validate_failure_exits_6(tmp_path):
-    # deep anchors are unresolvable at this sample size for a fixed bad seed
-    assert main(["validate", "E1", "--seed", "42", "--out", str(tmp_path / "v")]) == 6
+def test_validate_failure_exits_6(tmp_path, monkeypatch):
+    # a wrong sampler against E1's reference Gamma(3, 1): A ~ Beta(2.1, 1) draws Gamma(3.1, 1), which lies
+    # 0.0245 from it in KS distance, about twice the threshold 4/sqrt(n) at the CLI's 10^5 draws
+    case = oracle.get_case("E1")
+    wrong = dataclasses.replace(case, joint=JointInput(Beta(2.1, 1.0), case.joint.B))
+    monkeypatch.setattr(cli_module, "get_case", lambda case_id: wrong)
+    assert main(["validate", "E1", "--seed", "42", "--out", str(tmp_path / "v"), "--no-timestamp"]) == 6
+    report = json.loads((tmp_path / "v" / "validation.json").read_text())
+    assert report["passed"] is False and report["ks"] > report["ks_threshold"]
 
 
 def test_validate_unconverged_reference_exits_6(tmp_path, capsys, monkeypatch):

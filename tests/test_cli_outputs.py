@@ -13,7 +13,12 @@ inversion of its transform (KS moved by 7e-11, the tail references by at
 most 5.3e-8 relative, the exit code stayed 6); the `validate.E3` one since
 `Difference.survival` integrates in t = sqrt(y - lo) (KS moved by 4.5e-13,
 the five tail references by at most 5e-12 relative, toward mpmath's values,
-the exit code stayed 0).
+the exit code stayed 0).  Every command that draws moved when each chunk's
+stream went from Philox to PCG64DXSM: `simulate`, the three `tail` runs and
+the five `validate` runs.  `validate` also went from the fixed [0.9, 1.1]
+ratio band to binomial bands on the exceedance counts, with the level and
+the verdict rule in `validation.json`; E4 and E5 went from exit 6 to 0.
+`moments` and `charfn` draw nothing and kept their digests.
 """
 
 import contextlib

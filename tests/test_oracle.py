@@ -15,7 +15,7 @@ from perpetuity.oracle import (
     reference_survival,
     survival_from_transform,
 )
-from perpetuity.simulate import SimConfig
+from perpetuity.simulate import SimConfig, sample_batch
 
 
 def test_registry_contents():
@@ -103,6 +103,28 @@ def test_compare_empirical_gamma_identity_passes():
     assert report.passed
     assert report.ks < 0.004
     assert not report.low_N
+
+
+@pytest.mark.parametrize("case_id", ["E1", "E2", "E3", "E4", "E5"])
+def test_every_case_passes_at_the_cli_defaults(case_id):
+    # seed 0 and 10^5 draws: `perpetuity validate <case>` with no config, as CI's installed-script step runs it
+    report = compare_empirical(get_case(case_id), SimConfig(n_samples=100_000, master_seed=0))
+    assert report.passed, report.table()
+
+
+def test_tail_rows_count_exceedances_against_binomial_bands():
+    from scipy.stats import binom
+
+    cfg = SimConfig(n_samples=20_000, master_seed=3)
+    report = compare_empirical(get_case("E2"), cfg)
+    values = np.sort(sample_batch(get_case("E2").joint, cfg).values)
+    assert report.tail_alpha == oracle.TAIL_ALPHA == 1e-3 and report.verdict_rule == oracle.VERDICT_RULE
+    for row in report.tail_rows:
+        count = report.n - int(np.searchsorted(values, row["x"], side="right"))
+        lo, hi = binom.ppf(5e-4, report.n, row["reference"]), binom.isf(5e-4, report.n, row["reference"])
+        assert row["count"] == count and row["band"] == [lo, hi] and row["checked"] is True
+        assert row["in_band"] == (lo <= count <= hi)
+    assert report.passed == (report.ks < report.ks_threshold and all(r["in_band"] for r in report.tail_rows))
 
 
 def test_compare_empirical_small_sample_smoke():

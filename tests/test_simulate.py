@@ -68,6 +68,15 @@ def test_stream_count_does_not_change_output(streams):
         assert np.array_equal(base.truncated, multi.truncated)
 
 
+def test_chunks_draw_from_pcg64dxsm_and_the_stream_is_pinned():
+    # a new generator or seeding moves every sample; this test names the move before the CLI digests do
+    assert type(_chunk_rng(2026, 1).bit_generator) is np.random.PCG64DXSM
+    batch = sample_batch(GAMMA_CASE, SimConfig(n_samples=CHUNK + 3, master_seed=2026))
+    assert batch.values[:3].tolist() == [4.147119515872256, 1.1242996042491407, 1.9259164342811597]
+    assert batch.values[CHUNK:].tolist() == [4.358969726532291, 2.688010345332643, 5.6010171174529715]
+    assert batch.terms_used[:3].tolist() == [102, 82, 68] and batch.terms_used[CHUNK:].tolist() == [77, 70, 83]
+
+
 def test_empty_batch_is_valid():
     b = sample_batch(GAMMA_CASE, SimConfig(n_samples=0, master_seed=1))
     assert b.values.size == 0
@@ -180,6 +189,7 @@ def test_empirical_tail_counts_as_the_sorted_searchsorted_did():
     sorted_vals = np.sort(values)
     for t, x in zip(empirical_tail(batch, xs), xs.tolist()):
         p = float(1.0 - np.searchsorted(sorted_vals, x, side="right") / n)
+        assert t.count == n - np.searchsorted(sorted_vals, x, side="right")
         assert type(t.p_hat) is float and np.float64(t.p_hat).tobytes() == np.float64(p).tobytes()
         assert np.float64(t.std_err).tobytes() == np.float64(math.sqrt(max(p * (1 - p), 0.0) / n)).tobytes()
 
