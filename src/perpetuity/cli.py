@@ -228,14 +228,24 @@ def build_joint(cfg: dict) -> JointInput:
     return JointInput(_law(cfg, "joint.A"), B)
 
 
+def _at_least(key: str, x, low):
+    if not x >= low:
+        raise ConfigError(f"{key}: must be >= {low}, got {x!r}")
+    return x
+
+
 def build_sim_config(cfg: dict, seed_override: Optional[int] = None) -> SimConfig:
-    seed = seed_override if seed_override is not None else _number(cfg, "sim.seed", 0, int)
+    """The sampler's settings, each refused by name when out of range, before anything is drawn."""
+    if seed_override is not None:
+        seed = _at_least("--seed", seed_override, 0)
+    else:
+        seed = _at_least("sim.seed", _number(cfg, "sim.seed", 0, int), 0)
     return SimConfig(
-        n_samples=_number(cfg, "sim.n_samples", 100_000, int),
+        n_samples=_at_least("sim.n_samples", _number(cfg, "sim.n_samples", 100_000, int), 1),
         master_seed=seed,
-        truncation_eps=_number(cfg, "sim.truncation_eps", 1e-16),
-        max_terms=_number(cfg, "sim.max_terms", 1_000_000, int),
-        n_streams=_number(cfg, "sim.n_streams", 1, int),
+        truncation_eps=_at_least("sim.truncation_eps", _number(cfg, "sim.truncation_eps", 1e-16), 0),
+        max_terms=_at_least("sim.max_terms", _number(cfg, "sim.max_terms", 1_000_000, int), 1),
+        n_streams=_at_least("sim.n_streams", _number(cfg, "sim.n_streams", 1, int), 1),
     )
 
 

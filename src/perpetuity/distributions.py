@@ -329,8 +329,11 @@ class Gamma(ScalarDistribution):
 
 @dataclass(frozen=True)
 class Exponential(Gamma):
-    """Gamma(1, rate): mean, support, atom, MGF domain, pole and E log D are Gamma's.  It keeps its own sampler (the
-    `rng.exponential` stream) and closed survival, density and MGF, whose bits Gamma's general forms do not give."""
+    """Gamma(1, rate): mean, support, atom, MGF domain, pole and E log D are Gamma's.  It keeps its own sampler and
+    closed survival, density and MGF, whose bits Gamma's general forms do not give.  The sampler draws
+    rng.standard_exponential, the ziggurat rng.exponential runs, through numpy's fill loop and not its per-draw
+    dispatch, and scales it by 1/rate in place: the same bits as rng.exponential(scale=1/rate), and the generator
+    left in the same state."""
 
     shape: float = field(default=1.0, init=False, repr=False)
 
@@ -339,7 +342,10 @@ class Exponential(Gamma):
             raise ValidationError("Exponential rate must be > 0")
 
     def sample(self, rng, size):
-        return rng.exponential(scale=1.0 / self.rate, size=size)
+        e = rng.standard_exponential(size)
+        if self.rate != 1.0:
+            e *= 1.0 / self.rate
+        return e
 
     def survival(self, x):
         xa = _as_array(x)
@@ -373,7 +379,8 @@ class Beta(ScalarDistribution):
         if self.q == 1.0:
             # Beta(p, 1) has CDF u^p: invert it directly
             u = rng.random(size)
-            u **= 1.0 / self.p
+            if self.p != 1.0:
+                u **= 1.0 / self.p
             return u
         return rng.beta(self.p, self.q, size=size)
 
@@ -442,10 +449,13 @@ class Uniform(ScalarDistribution):
             raise ValidationError("Uniform requires lo < hi")
 
     def sample(self, rng, size):
-        # lo + (hi - lo) U, the same bits as rng.uniform without its per-draw dispatch
+        # lo + (hi - lo) U, the same bits as rng.uniform without its per-draw dispatch; a width of 1 and an lo of 0
+        # leave U's bits as they are (U is never -0.0), so those passes are skipped
         u = rng.random(size)
-        u *= self.hi - self.lo
-        u += self.lo
+        if self.hi - self.lo != 1.0:
+            u *= self.hi - self.lo
+        if self.lo:
+            u += self.lo
         return u
 
     def survival(self, x):
@@ -517,7 +527,12 @@ class Affine(ScalarDistribution):
         return (x - self.offset) / self.scale
 
     def sample(self, rng, size):
-        return self._map(self.inner.sample(rng, size))
+        # _map in place on the fresh draws: the same bits, without its two temporaries
+        v = self.inner.sample(rng, size)
+        v *= self.scale
+        if self.offset:
+            v += self.offset
+        return v
 
     def _cut(self, x):
         """The last y (the first, for a negative scale) that _map sends to x or below, so that an atom of inner, drawn

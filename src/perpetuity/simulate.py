@@ -9,6 +9,7 @@ bitwise identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -121,7 +122,10 @@ def _simulate_chunk(joint: JointInput, cfg: SimConfig, chunk_index: int, values,
         _constant_a_chunk(float(joint.A.value), joint.B, cfg, rng, values, terms, truncated)
         return
     # Live draws only: (x, pi, idx) are compacted as draws retire, and a
-    # draw's x and term count are written out once, when it retires.
+    # draw's x and term count are written out once, when it retires.  With
+    # independent draws of an A >= 0 every product is >= 0 or NaN, and for
+    # those `pi > eps` decides as `|pi| > eps` does, without the abs pass.
+    nonnegative = joint.independent and joint.A.support()[0] >= 0.0
     m = values.size
     x = np.zeros(m)
     pi = np.ones(m)
@@ -133,7 +137,7 @@ def _simulate_chunk(joint: JointInput, cfg: SimConfig, chunk_index: int, values,
         b *= pi
         x += b
         pi *= a
-        live = np.abs(pi, out=b) > cfg.truncation_eps
+        live = (pi if nonnegative else np.abs(pi, out=b)) > cfg.truncation_eps
         if not live.all():
             done = ~live
             gone = idx[done]
@@ -161,8 +165,10 @@ def sample_batch(joint: JointInput, cfg: SimConfig) -> SampleBatch:
         lo, hi = bounds[j]
         _simulate_chunk(joint, cfg, j, values[lo:hi], terms[lo:hi], truncated[lo:hi])
 
-    if cfg.n_streams > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_streams) as pool:
+    # a thread per chunk or per core at most: each holds its chunk's arrays
+    workers = min(cfg.n_streams, len(bounds), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, range(len(bounds))))
     else:
         for j in range(len(bounds)):

@@ -615,6 +615,38 @@ def test_refusal_before_any_config_exits_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+SIM_OUT_OF_RANGE = {
+    "no-draws": ("sim.n_samples = -5\n", "sim.n_samples: must be >= 1, got -5"),
+    "zero-draws": ("sim.n_samples = 0\n", "sim.n_samples: must be >= 1, got 0"),
+    "no-streams": ("sim.n_streams = 0\n", "sim.n_streams: must be >= 1, got 0"),
+    "no-terms": ("sim.max_terms = 0\n", "sim.max_terms: must be >= 1, got 0"),
+    "negative-eps": ("sim.truncation_eps = -1e-3\n", "sim.truncation_eps: must be >= 0, got -0.001"),
+    "negative-seed": ("sim.seed = -1\n", "sim.seed: must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "tail", "validate"])
+@pytest.mark.parametrize("line,message", SIM_OUT_OF_RANGE.values(), ids=SIM_OUT_OF_RANGE.keys())
+def test_sim_numbers_out_of_range_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, cmd, line, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing the config")
+
+    monkeypatch.setattr(perpetuity.simulate, "_simulate_chunk", no_draw)
+    monkeypatch.setattr(asymptotics, "_chunk_rng", no_draw)
+    out = tmp_path / "o"
+    text = HALF_A + EXP_B + "tail.b = 1.0\nvalidate.case = E1\n" + line
+    assert run(cmd, write(tmp_path, text), out) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["validate", "E1", "--seed", "-3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --seed: must be >= 0, got -3\n"
+    assert not out.exists()
+
+
 X_GRID = HALF_A + EXP_B + "sim.n_samples = 2000\nsim.seed = 5\nsim.x_grid = 1, 2.5,4\ntail.b = 1.0\n"
 
 

@@ -133,7 +133,10 @@ def _masked_loop_reference(joint, cfg, chunk_index, m):
 @pytest.mark.parametrize("joint", [
     JointInput(Uniform(0.0, 1.0), Gamma(2.0, 1.0)),
     JointInput(None, Exponential(1.0), ThresholdDependent(0.3, 0.7, 1.0)),
-], ids=["uniform-gamma", "threshold"])
+    # an A >= 0 retires a draw on pi > eps without the abs pass; a signed A keeps it
+    JointInput(Beta(2.0, 1.0), Exponential(1.0)),
+    JointInput(Uniform(-0.9, 0.9), Exponential(0.7)),
+], ids=["uniform-gamma", "threshold", "beta-exp", "signed-uniform-exp"])
 @pytest.mark.parametrize("eps,max_terms", [(1e-16, 1_000_000), (1e-6, 20)], ids=["full", "capped"])
 def test_compacted_kernel_matches_masked_reference(joint, eps, max_terms):
     cfg = SimConfig(n_samples=5000, master_seed=19, truncation_eps=eps, max_terms=max_terms)
@@ -146,6 +149,44 @@ def test_compacted_kernel_matches_masked_reference(joint, eps, max_terms):
             assert np.array_equal(g, w)
     if max_terms == 20:
         assert 0 < want[2].sum() < want[2].size  # both retired and truncated draws
+
+
+class _SerialExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers and runs the map on the calling thread."""
+
+    built = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("streams,cores,want", [
+    (1000, 64, [3]),  # one worker per chunk
+    (1000, 2, [2]),  # one per core
+    (2, 64, [2]),  # as many as asked for
+    (1000, None, []),  # an unknown core count runs the chunks on the calling thread
+    (4, 1, []),
+], ids=["chunks", "cores", "streams", "no-core-count", "one-core"])
+def test_thread_pool_is_capped_by_chunks_and_cores(monkeypatch, streams, cores, want):
+    joint = JointInput(PointMass(0.01), Exponential(1.0))
+    n = 2 * CHUNK + 100  # three chunks
+    serial = sample_batch(joint, SimConfig(n_samples=n, master_seed=4))
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", _SerialExecutor)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
+    _SerialExecutor.built = []
+    got = sample_batch(joint, SimConfig(n_samples=n, master_seed=4, n_streams=streams))
+    assert _SerialExecutor.built == want
+    assert got.values.tobytes() == serial.values.tobytes()
+    assert got.terms_used.tobytes() == serial.terms_used.tobytes()
 
 
 def test_distributional_fixed_point_two_sample_ks():
