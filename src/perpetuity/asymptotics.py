@@ -140,8 +140,11 @@ def prop_main_constant(joint: JointInput, b: float, cfg: SimConfig) -> TailPredi
     else:
         batch = sample_batch(joint, cfg)
         rng = _chunk_rng(cfg.master_seed, batch.values.size // CHUNK + 101)
-        a = joint.A.sample(rng, batch.values.size)
-        w = np.exp(np.minimum(b * a * batch.values, 700.0))
+        # e^{min(b a x, 700)}, in place on the fresh A-draws
+        w = joint.A.sample(rng, batch.values.size)
+        w *= b
+        w *= batch.values
+        np.exp(np.minimum(w, 700.0, out=w), out=w)
         const, se = median_of_means(w)
         source = "MonteCarlo"
         trace.append(f"constant by median-of-means over {batch.values.size} draws")

@@ -53,7 +53,15 @@ from .distributions import (
     validate_nondegeneracy,
 )
 from .oracle import ReferenceNotConverged, compare_empirical, get_case
-from .simulate import TAIL_LEVELS, SimConfig, check_convergence, empirical_tail, sample_batch
+from .simulate import (
+    MAX_TERMS_LIMIT,
+    TAIL_LEVELS,
+    SimConfig,
+    _tail_of_sorted,
+    check_convergence,
+    empirical_tail,
+    sample_batch,
+)
 
 __all__ = ["entry", "parse_config_text", "serialize_config", "build_joint", "config_hash"]
 
@@ -228,24 +236,26 @@ def build_joint(cfg: dict) -> JointInput:
     return JointInput(_law(cfg, "joint.A"), B)
 
 
-def _at_least(key: str, x, low):
+def _in_range(key: str, x, low, high=None):
     if not x >= low:
         raise ConfigError(f"{key}: must be >= {low}, got {x!r}")
+    if high is not None and not x <= high:
+        raise ConfigError(f"{key}: must be <= {high}, got {x!r}")
     return x
 
 
 def build_sim_config(cfg: dict, seed_override: Optional[int] = None) -> SimConfig:
     """The sampler's settings, each refused by name when out of range, before anything is drawn."""
     if seed_override is not None:
-        seed = _at_least("--seed", seed_override, 0)
+        seed = _in_range("--seed", seed_override, 0)
     else:
-        seed = _at_least("sim.seed", _number(cfg, "sim.seed", 0, int), 0)
+        seed = _in_range("sim.seed", _number(cfg, "sim.seed", 0, int), 0)
     return SimConfig(
-        n_samples=_at_least("sim.n_samples", _number(cfg, "sim.n_samples", 100_000, int), 1),
+        n_samples=_in_range("sim.n_samples", _number(cfg, "sim.n_samples", 100_000, int), 1),
         master_seed=seed,
-        truncation_eps=_at_least("sim.truncation_eps", _number(cfg, "sim.truncation_eps", 1e-16), 0),
-        max_terms=_at_least("sim.max_terms", _number(cfg, "sim.max_terms", 1_000_000, int), 1),
-        n_streams=_at_least("sim.n_streams", _number(cfg, "sim.n_streams", 1, int), 1),
+        truncation_eps=_in_range("sim.truncation_eps", _number(cfg, "sim.truncation_eps", 1e-16), 0),
+        max_terms=_in_range("sim.max_terms", _number(cfg, "sim.max_terms", 1_000_000, int), 1, MAX_TERMS_LIMIT),
+        n_streams=_in_range("sim.n_streams", _number(cfg, "sim.n_streams", 1, int), 1),
     )
 
 
@@ -357,10 +367,12 @@ def cmd_tail(cfg: dict, args) -> int:
     if args.verify:
         # a Monte Carlo route has already drawn this batch from the same `sim`
         batch = prediction.batch if prediction.batch is not None else sample_batch(joint, sim)
+        # one sort, read for both the default points and the counts above them
+        sorted_vals = np.sort(batch.values)
         if xs is None:
-            xs = list(np.quantile(batch.values, TAIL_LEVELS))
+            xs = list(np.quantile(sorted_vals, TAIL_LEVELS))
         rows = []
-        for t in empirical_tail(batch, xs):
+        for t in _tail_of_sorted(sorted_vals, xs):
             pred = prediction.form(t.x)
             ratio = t.p_hat / pred if pred > 0 else math.inf
             rows.append((t.x, pred, t.p_hat, t.std_err, ratio))

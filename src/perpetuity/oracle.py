@@ -33,7 +33,7 @@ from .distributions import (
     ScalarDistribution,
 )
 from .quadrature import QuadResult, integrate_batch, refuse_unconverged
-from .simulate import TAIL_LEVELS, SimConfig, empirical_tail, sample_batch
+from .simulate import TAIL_LEVELS, SimConfig, _tail_of_sorted, sample_batch
 
 __all__ = [
     "ReferenceCase",
@@ -363,7 +363,7 @@ def compare_empirical(case: ReferenceCase, cfg: SimConfig) -> OracleReport:
     refs = np.asarray(reference_survival(case, anchors))
     lo, hi = _binom_ppf(TAIL_ALPHA / 2, n, refs), _binom_isf(TAIL_ALPHA / 2, n, refs)
     rows = []  # "checked" is always true, as every row is checked; the key stays for readers of the earlier rows
-    for t, ref, a, b in zip(empirical_tail(batch, anchors), refs.tolist(), lo.tolist(), hi.tolist()):
+    for t, ref, a, b in zip(_tail_of_sorted(sorted_vals, anchors), refs.tolist(), lo.tolist(), hi.tolist()):
         rows.append({"x": t.x, "count": t.count, "band": [int(a), int(b)], "p_hat": t.p_hat, "std_err": t.std_err,
                      "reference": ref, "ratio": t.p_hat / ref if ref > 0 else math.inf, "checked": True,
                      "in_band": a <= t.count <= b})

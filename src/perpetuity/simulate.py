@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
+MAX_TERMS_LIMIT = 2**31 - 1  # the most terms an int32 count holds
 CSV_BLOCK = 8192  # values formatted per string in SampleBatch.to_csv
 # the levels of the sample quantiles where `tail --verify` and `validate` read the tail by default
 TAIL_LEVELS = (0.99, 0.997, 0.999, 0.9997, 0.9999)
@@ -55,6 +56,9 @@ class SimConfig:
 
 @dataclass
 class SampleBatch:
+    """n draws: `values` (float64), `terms_used` (int32, the terms each draw took) and `truncated` (bool, cut at
+    `max_terms`), 13 bytes per draw."""
+
     values: np.ndarray
     terms_used: np.ndarray
     truncated: np.ndarray
@@ -109,6 +113,7 @@ def _constant_a_chunk(gamma: float, B: ScalarDistribution, cfg: SimConfig, rng, 
         b = B.sample(rng, values.size)
         b *= pi
         values += b
+        del b  # at most one term's draws are alive: this one is dropped before the next is drawn
         pi *= gamma
         converged = not abs(pi) > cfg.truncation_eps
     terms[:] = k
@@ -138,15 +143,18 @@ def _simulate_chunk(joint: JointInput, cfg: SimConfig, chunk_index: int, values,
         x += b
         pi *= a
         live = (pi if nonnegative else np.abs(pi, out=b)) > cfg.truncation_eps
+        del a, b  # the term's draws are not held across the compaction or the next draw
         if not live.all():
             done = ~live
             gone = idx[done]
             values[gone] = x[done]
             terms[gone] = k
+            del done, gone
             # one array at a time, so that at most one old copy is alive
             x = x[live]
             pi = pi[live]
             idx = idx[live]
+        del live
     values[idx] = x
     terms[idx] = k
     truncated[:] = False
@@ -155,9 +163,11 @@ def _simulate_chunk(joint: JointInput, cfg: SimConfig, chunk_index: int, values,
 
 def sample_batch(joint: JointInput, cfg: SimConfig) -> SampleBatch:
     """cfg.n_samples independent draws, deterministic given master_seed."""
+    if not cfg.max_terms <= MAX_TERMS_LIMIT:
+        raise ValueError(f"max_terms = {cfg.max_terms!r} does not fit terms_used's int32 (at most {MAX_TERMS_LIMIT})")
     n = int(cfg.n_samples)
     values = np.empty(n)
-    terms = np.empty(n, dtype=np.int64)
+    terms = np.empty(n, dtype=np.int32)
     truncated = np.empty(n, dtype=bool)
     bounds = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
 
@@ -227,11 +237,16 @@ def empirical_tail(batch: SampleBatch, xs) -> list[TailEstimate]:
     One sort of the draws and a binary search per x: O(n log n + k log n)
     for n draws and k points, where a counting pass per x is O(n k).
     """
-    if batch.values.size == 0:
+    return _tail_of_sorted(np.sort(batch.values), xs)
+
+
+def _tail_of_sorted(sorted_values: np.ndarray, xs) -> list[TailEstimate]:
+    """empirical_tail of draws already sorted by np.sort, for a caller that reads more off the one sorted copy."""
+    if sorted_values.size == 0:
         raise ValueError("empirical_tail needs a nonempty batch")
-    n = batch.values.size
+    n = sorted_values.size
     xa = np.atleast_1d(np.asarray(xs, dtype=float))
-    below = np.searchsorted(np.sort(batch.values), xa, side="right")
+    below = np.searchsorted(sorted_values, xa, side="right")
     out = []
     for x, b in zip(xa.tolist(), below.tolist()):
         p = 1.0 - b / n
@@ -277,7 +292,8 @@ def estimate_exp_moment(joint: JointInput, cfg: SimConfig, r: float) -> ExpMomen
     batch = sample_batch(joint, cfg)
     expo = r * batch.values
     n_clamped = int((expo > 700.0).sum())
-    w = np.exp(np.minimum(expo, 700.0))
+    # e^{min(expo, 700)}, in place on the fresh expo
+    w = np.exp(np.minimum(expo, 700.0, out=expo), out=expo)
     n = w.size
     trace = []
     for frac in (16, 8, 4, 2, 1):

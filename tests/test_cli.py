@@ -620,6 +620,7 @@ SIM_OUT_OF_RANGE = {
     "zero-draws": ("sim.n_samples = 0\n", "sim.n_samples: must be >= 1, got 0"),
     "no-streams": ("sim.n_streams = 0\n", "sim.n_streams: must be >= 1, got 0"),
     "no-terms": ("sim.max_terms = 0\n", "sim.max_terms: must be >= 1, got 0"),
+    "too-many-terms": ("sim.max_terms = 2147483648\n", "sim.max_terms: must be <= 2147483647, got 2147483648"),
     "negative-eps": ("sim.truncation_eps = -1e-3\n", "sim.truncation_eps: must be >= 0, got -0.001"),
     "negative-seed": ("sim.seed = -1\n", "sim.seed: must be >= 0, got -1"),
 }

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -187,6 +188,42 @@ def test_thread_pool_is_capped_by_chunks_and_cores(monkeypatch, streams, cores, 
     assert _SerialExecutor.built == want
     assert got.values.tobytes() == serial.values.tobytes()
     assert got.terms_used.tobytes() == serial.terms_used.tobytes()
+
+
+@pytest.mark.parametrize("joint,chunk_arrays", [
+    # x, pi and idx, and the term's a and b while they are drawn
+    (GAMMA_CASE, 5.5),
+    # one term's b at a time: it is dropped before the next is drawn
+    (JointInput(PointMass(0.5), Exponential(1.0)), 1.5),
+    # x, pi, idx and a, and inside the inverse-survival draw its t, bin index and one gathered table
+    (JointInput(Uniform(0.0, 1.0), POLY_EXP), 7.5),
+], ids=["beta-exp", "constant-a", "survival-defined-b"])
+def test_sample_batch_peak_memory(joint, chunk_arrays):
+    # numpy reports its allocations to tracemalloc, so the peak is the same on every run
+    n = 4 * CHUNK
+    cfg = SimConfig(n_samples=n, master_seed=29)
+    sample_batch(joint, SimConfig(n_samples=10, master_seed=1))  # a SurvivalDefined law builds its table once
+    tracemalloc.start()
+    try:
+        batch = sample_batch(joint, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = batch.values.nbytes + batch.terms_used.nbytes + batch.truncated.nbytes
+    assert peak <= own + chunk_arrays * 8 * CHUNK, f"{(peak - own) / (8 * CHUNK):.2f} chunk arrays"
+    assert batch.terms_used.dtype == np.int32
+    assert own == 13 * n
+    recount = batch.terms_used.astype(np.int64)
+    assert batch.terms_used.sum() == recount.sum()
+    assert batch.truncation_report == {"mean_terms": float(recount.mean()), "n_truncated": int(batch.truncated.sum())}
+
+
+def test_max_terms_past_int32_is_refused():
+    with pytest.raises(ValueError, match="max_terms"):
+        sample_batch(GAMMA_CASE, SimConfig(n_samples=10, master_seed=1, max_terms=2**31))
+    batch = sample_batch(JointInput(PointMass(1.0), Exponential(1.0)),
+                         SimConfig(n_samples=10, master_seed=1, max_terms=2**31 - 1, truncation_eps=2.0))
+    assert batch.terms_used.tolist() == [1] * 10
 
 
 def test_distributional_fixed_point_two_sample_ks():
