@@ -42,7 +42,6 @@ from .simulate import (
     estimate_exp_moment,
     median_of_means,
     sample_batch,
-    stochastic_upper_bound,
 )
 from .criteria import (
     DispatchError,
@@ -60,6 +59,7 @@ from .asymptotics import (
     perpetuity_cf,
     perpetuity_mgf,
     prop_main_constant,
+    stochastic_upper_bound,
     thm1_constant,
     thm2_K,
 )

@@ -6,6 +6,8 @@ Three routes to a predicted right tail of X:
     carried with the 1/x term of its own expansion,
     P{X > x} = P{B > x} (K0 + K1/x + o(1/x)),
   * the power-corrected route K x^{lam C} e^{-bx} for A ~ Beta(lam, 1).
+The smoothed route's coupling lemma is executable: `stochastic_upper_bound`
+builds the dominating law from the same tail model of B.
 Plus the transform of X, E e^{sX}: a product over the powers of a constant
 coefficient, or for A ~ Beta(lam, 1) the compound-Poisson exponent
 representation, closed in logs for a two-sided hyperexponential increment.
@@ -40,6 +42,7 @@ __all__ = [
     "tilted_moment_vec",
     "SmoothedTail",
     "thm1_constant",
+    "stochastic_upper_bound",
     "thm2_inputs",
     "thm2_K",
     "perpetuity_mgf",
@@ -309,6 +312,94 @@ def _mgf_at_tail_rate(B: ScalarDistribution, tail_of_B: GammaLike) -> QuadResult
             return QuadResult(est, err + abs(est - prev), panels, True)
         prev, left, M = est, M, 2.0 * M
     return QuadResult(math.nan if prev is None else prev, math.inf, panels, False)
+
+
+# ---------------------------------------------------------------------------
+# Stochastic upper bound (executable form of the coupling lemma)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class StochasticBound:
+    q: float
+    d: float
+    x0: float
+
+    def sample_Z(self, B: ScalarDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw Z = (B' + d) 1{B' > q} conditioned on Z >= x0, by inverting B's survival."""
+        m = max(self.q, self.x0 - self.d)
+        u = rng.random(size) * B.survival(m)
+        return np.asarray(B.inverse_survival(u)) + self.d
+
+    def survival_Z(self, B: ScalarDistribution, x):
+        m = max(self.q, self.x0 - self.d)
+        s_m = B.survival(m)
+        xa = np.asarray(x, dtype=float)
+        out = np.where(xa < self.x0, 1.0, np.asarray(B.survival(np.maximum(xa - self.d, m))) / s_m)
+        return out if xa.ndim else float(out)
+
+
+def stochastic_upper_bound(joint: JointInput, tail_of_B: GammaLike, seed: int = 71) -> StochasticBound:
+    """Construct (q, d, x0) so that Z = (B'+d) 1{B'>q} | Z >= x0 dominates AZ+B, for Thm1's tail model of B.
+
+    q is the first of 1, 1.5, 2, ... with E e^{bB}1{A=1} + E e^{bB}1{B>q} < 0.98, and d = log(P{B <= q} / (1 - that
+    sum)) / b + 0.25, at least 0.1.  E e^{bB} is `_mgf_at_tail_rate`'s, E e^{bB}1{A=1} is P{A=1} times it, and
+    E e^{bB}1{B>q} is E e^{bB} less the head e^{b lo} - e^{bq} P{B>q} + b int_lo^q e^{by} P{B>y} dy.  x0 is found by
+    grid search on smoothed estimates of P{AY+B>x} vs P{Y>x}.  Refused (NoClosedForm) before any quadrature for a B
+    without `inverse_survival`, b past B's MGF domain, c >= -1 or an unknown P{A=1}, and when an integral fails.
+    """
+    B, b = joint.B, tail_of_B.b
+    if not hasattr(B, "inverse_survival"):
+        raise NoClosedForm("stochastic_upper_bound needs an invertible survival for B")
+    _, dom_hi = B.mgf_domain()
+    if b > dom_hi:
+        raise NoClosedForm(f"E e^{{bB}}: b = {b:g} is past the MGF domain's end {dom_hi:g}")
+    if not tail_of_B.c < -1.0:
+        raise NoClosedForm(f"tail exponent c = {tail_of_B.c} must be < -1")
+    p1 = joint.A_marginal().atom_at(1.0)
+    if p1 is None:
+        raise NoClosedForm("P{A=1} not symbolically derivable")
+    mgf = _mgf_at_tail_rate(B, tail_of_B)
+    if not mgf.converged:
+        raise NoClosedForm(f"E e^{{bB}} quadrature did not converge ({mgf.subdivisions} panels)")
+    lo, _ = B.support()
+    f = _exp_tilted_survival(B.survival, b)
+    q = 1.0
+    while True:
+        head = integrate_finite(f, lo, q, 1e-10)
+        if not head.converged:
+            raise NoClosedForm(f"E e^{{bB}} 1{{B <= {q:g}}}: quadrature did not converge")
+        # E e^{bB}1{A=1} + E e^{bB}1{B>q}, the latter E e^{bB} less its head E e^{bB}1{B<=q}
+        total = p1 * mgf.value + mgf.value - (math.exp(b * lo) - f(q) + b * head.value)
+        if total < 0.98:
+            break
+        q += 0.5
+        if q > 200:
+            raise RuntimeError("no admissible threshold q found")
+    s_q = B.survival(q)
+    d = max(math.log((1.0 - s_q) / (1.0 - total)) / b + 0.25, 0.1)
+
+    n_probe = 200_000
+    rng = np.random.default_rng(seed)
+    a = joint.A.sample(rng, n_probe) if joint.independent else np.full(n_probe, joint.dependence.zeta1)
+    # Y draws: conditional B' | B' > q, shifted by d, with atom at 0.
+    u = rng.random(n_probe)
+    y = np.zeros(n_probe)
+    hit = u < s_q
+    y[hit] = np.asarray(B.inverse_survival(u[hit])) + d
+
+    def surv_Y(x):
+        return B.survival(max(x - d, q))
+
+    def smoothed_lhs(x):
+        return float(np.mean(np.asarray(B.survival(x - a * y))))
+
+    # x0: past the last grid point where domination fails.
+    grid = np.linspace(0.5, q + d + 30.0 / b, 300)
+    bad = [x for x in grid if smoothed_lhs(float(x)) > surv_Y(float(x))]
+    if bad and bad[-1] >= grid[-2]:
+        raise RuntimeError("grid search found no crossover point x0")
+    x0 = float(bad[-1] + (grid[1] - grid[0])) if bad else float(grid[0])
+    return StochasticBound(q=q, d=d, x0=x0)
 
 
 # ---------------------------------------------------------------------------

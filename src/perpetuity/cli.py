@@ -244,6 +244,12 @@ def _in_range(key: str, x, low, high=None):
     return x
 
 
+def _positive(key: str, x):
+    if not x > 0:
+        raise ConfigError(f"{key}: must be > 0, got {x!r}")
+    return x
+
+
 def build_sim_config(cfg: dict, seed_override: Optional[int] = None) -> SimConfig:
     """The sampler's settings, each refused by name when out of range, before anything is drawn."""
     if seed_override is not None:
@@ -316,7 +322,7 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def cmd_moments(cfg: dict, args) -> int:
     joint = build_joint(cfg)
-    r = _number(cfg, "moments.r")
+    r = _positive("moments.r", _number(cfg, "moments.r"))
     sup = cfg.get("moments.support_unbounded")
     if sup is not None and sup.lower() not in ("true", "false"):
         raise ConfigError(f"moments.support_unbounded: expected true or false, got {sup!r}")
@@ -331,6 +337,11 @@ def cmd_moments(cfg: dict, args) -> int:
 def cmd_tail(cfg: dict, args) -> int:
     joint = build_joint(cfg)
     xs = _floats(cfg["sim.x_grid"]) if args.verify and "sim.x_grid" in cfg else None
+    # B's tail model, each key given refused by name before any route runs; a route that needs an absent key misses
+    tail = {k: _number(cfg, k) for k in ("tail.a", "tail.b", "tail.c") if k in cfg}
+    for k in ("tail.a", "tail.b"):
+        if k in tail:
+            _positive(k, tail[k])
     misses = []
     prediction = None
 
@@ -342,18 +353,18 @@ def cmd_tail(cfg: dict, args) -> int:
     sim = build_sim_config(cfg, args.seed)
     if prediction is None and joint.independent:
         try:
-            b = _number(cfg, "tail.b", joint.B.mgf_domain()[1])
+            b = tail.get("tail.b", joint.B.mgf_domain()[1])
             if not math.isfinite(b):
                 raise PredictionRefused("no finite tail decay rate for B")
             prediction = prop_main_constant(joint, b, sim)
-        except (PredictionRefused, DispatchError, ConfigError) as e:
+        except (PredictionRefused, DispatchError) as e:
             misses.append(f"inherited-tail route: {e}")
 
     if prediction is None:
         try:
-            model = GammaLike(_number(cfg, "tail.a"), _number(cfg, "tail.c"), _number(cfg, "tail.b"))
+            model = GammaLike(_require(tail, "tail.a"), _require(tail, "tail.c"), _require(tail, "tail.b"))
             prediction = thm1_constant(joint, model, sim)
-        except (PredictionRefused, ConfigError, ValidationError) as e:
+        except (PredictionRefused, ConfigError) as e:
             misses.append(f"smoothed-tail route: {e}")
 
     out = _out_dir(args)

@@ -18,10 +18,8 @@ import numpy as np
 
 from .distributions import (
     JointInput,
-    NoClosedForm,
     PointMass,
     ScalarDistribution,
-    _exp_tilted_survival,
     sample_pair,
 )
 
@@ -35,7 +33,6 @@ __all__ = [
     "empirical_tail",
     "estimate_exp_moment",
     "median_of_means",
-    "stochastic_upper_bound",
 ]
 
 CHUNK = 1 << 16
@@ -309,107 +306,3 @@ def estimate_exp_moment(joint: JointInput, cfg: SimConfig, r: float) -> ExpMomen
     est = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return ExpMomentEstimate(r, est, se, trace, suspect, n_clamped)
-
-
-# ---------------------------------------------------------------------------
-# Stochastic upper bound (executable form of the coupling lemma)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StochasticBound:
-    q: float
-    d: float
-    x0: float
-
-    def sample_Z(self, B: ScalarDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw Z = (B' + d) 1{B' > q} conditioned on Z >= x0, by inverting B's survival."""
-        m = max(self.q, self.x0 - self.d)
-        u = rng.random(size) * B.survival(m)
-        return np.asarray(B.inverse_survival(u)) + self.d
-
-    def survival_Z(self, B: ScalarDistribution, x):
-        m = max(self.q, self.x0 - self.d)
-        s_m = B.survival(m)
-        xa = np.asarray(x, dtype=float)
-        out = np.where(xa < self.x0, 1.0, np.asarray(B.survival(np.maximum(xa - self.d, m))) / s_m)
-        return out if xa.ndim else float(out)
-
-
-def _e_exp_bB_above(B: ScalarDistribution, b: float, q: float) -> float:
-    """E e^{bB} 1{B > q} for laws with a survival handle, by quadrature.
-
-    Refused at once (NoClosedForm) for b past the end of B's MGF domain, as
-    SurvivalDefined.mgf refuses there: the survival handle cannot decide such
-    a b, and the quadrature would only find out after ~3e5 evaluations.  At b
-    equal to the end the value is low while the quadrature reports
-    convergence: for the poly-exp law at its decay rate 1 it reads 1/(1+q) +
-    1/(1+q)^2 - 1.364e-3 for q = 1 to 3, because S underflows near y = 745
-    and the lost int (1+y)^{-2} dy, about 1/746, is not counted.
-    """
-    from .quadrature import integrate_semi_infinite
-
-    _, dom_hi = B.mgf_domain()
-    if b > dom_hi:
-        raise NoClosedForm(f"E e^{{bB}} 1{{B > {q:g}}}: b = {b:g} is past the MGF domain's end {dom_hi:g}")
-    hint = max(dom_hi - b, 1e-3)
-    f = _exp_tilted_survival(B.survival, b)
-    res = integrate_semi_infinite(f, q, 1e-9, hint)
-    if not res.converged:
-        raise NoClosedForm(f"E e^{{bB}} 1{{B > {q:g}}}: quadrature did not converge")
-    return f(q) + b * res.value
-
-
-def stochastic_upper_bound(
-    joint: JointInput,
-    b: float,
-    e_bB_at_A1: float = 0.0,
-    seed: int = 71,
-) -> StochasticBound:
-    """Construct (q, d, x0) so that Z = (B'+d) 1{B'>q} | Z >= x0 dominates AZ+B.
-
-    q and d satisfy the two defining inequalities numerically; x0 is found
-    by grid search on smoothed estimates of P{AY+B>x} vs P{Y>x}.
-    """
-    B = joint.B
-    n_probe = 200_000
-    q = 1.0
-    while True:
-        tail_term = _e_exp_bB_above(B, b, q)
-        if e_bB_at_A1 + tail_term < 0.98:
-            break
-        q += 0.5
-        if q > 200:
-            raise RuntimeError("no admissible threshold q found")
-    margin = 1.0 - e_bB_at_A1 - tail_term
-    p_below = 1.0 - B.survival(q)
-    d = math.log(p_below / margin) / b + 0.25
-    d = max(d, 0.1)
-
-    rng = np.random.default_rng(seed)
-    if joint.independent:
-        a = joint.A.sample(rng, n_probe)
-    else:
-        a = np.full(n_probe, joint.dependence.zeta1)
-    # Y draws: conditional B' | B' > q, shifted by d, with atom at 0.
-    s_q = B.survival(q)
-    u = rng.random(n_probe)
-    y = np.zeros(n_probe)
-    hit = u < s_q
-    if hasattr(B, "inverse_survival"):
-        y[hit] = np.asarray(B.inverse_survival(u[hit])) + d
-    else:
-        raise NoClosedForm("stochastic_upper_bound needs an invertible survival for B")
-
-    def surv_Y(x):
-        return B.survival(max(x - d, q))
-
-    def smoothed_lhs(x):
-        return float(np.mean(np.asarray(B.survival(x - a * y))))
-
-    # x0: past the last grid point where domination fails.
-    grid = np.linspace(0.5, q + d + 30.0 / b, 300)
-    bad = [x for x in grid if smoothed_lhs(float(x)) > surv_Y(float(x))]
-    if bad and bad[-1] >= grid[-2]:
-        raise RuntimeError("grid search found no crossover point x0")
-    x0 = float(bad[-1] + (grid[1] - grid[0])) if bad else float(grid[0])
-    return StochasticBound(q=q, d=d, x0=x0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from perpetuity.asymptotics import perpetuity_cf, thm1_constant, thm2_K
+from perpetuity.asymptotics import perpetuity_cf, stochastic_upper_bound, thm1_constant, thm2_K
 from perpetuity.criteria import dispatch_exp_moment
 from perpetuity.distributions import (
     Beta,
@@ -30,7 +30,6 @@ from perpetuity.simulate import (
     SimConfig,
     estimate_exp_moment,
     sample_batch,
-    stochastic_upper_bound,
 )
 
 from conftest import ks_distance
@@ -211,7 +210,7 @@ def test_criterion_10_stochastic_domination_bound():
     S = lambda x: (1.0 + np.asarray(x, dtype=float)) ** -2 * np.exp(-np.asarray(x, dtype=float))
     B = SurvivalDefined(S, 0.0, 1.0, "poly-exp")
     joint = JointInput(Uniform(0.0, 1.0), B)
-    bound = stochastic_upper_bound(joint, 1.0, 0.0, seed=71)
+    bound = stochastic_upper_bound(joint, GammaLike(1.0, -2.0, 1.0), seed=71)
     rng = np.random.default_rng(99)
     n = 1_000_000
     z = bound.sample_Z(B, rng, n)

@@ -12,6 +12,7 @@ from perpetuity.asymptotics import (
     f_function_vec,
     perpetuity_cf,
     prop_main_constant,
+    stochastic_upper_bound,
     thm1_constant,
     thm2_inputs,
     thm2_K,
@@ -380,6 +381,24 @@ def test_e_exp_bB_is_not_converged_for_a_B_unbounded_below():
     res = _mgf_at_tail_rate(Difference(Exponential(1.0), Exponential(2.0)), GammaLike(1.0, -2.0, 1.0))
     assert math.isnan(res.value) and not res.converged
     assert res.abs_error_estimate == math.inf and res.subdivisions == 0
+
+
+def test_stochastic_bound_reads_the_tail_moment_off_the_model():
+    # criterion 10's joint: E e^{B} 1{B > 1} = 1/2 + 1/4 = 0.75 < 0.98 at q = 1, so
+    # d = log(P{B <= 1} / 0.25) + 0.25 = log(4 - e^{-1}) + 0.25
+    bound = stochastic_upper_bound(JointInput(Uniform(0.0, 1.0), _poly_exp_B()), GammaLike(1.0, -2.0, 1.0), seed=71)
+    assert bound.q == 1.0
+    assert bound.d == pytest.approx(math.log(4.0 - math.exp(-1.0)) + 0.25, abs=1e-3)
+
+
+def test_stochastic_bound_counts_the_atom_of_A_at_1():
+    # P{A=1} = 1/4 and E e^{B} = 2 add 1/2; E e^{B} 1{B > q} = 1/(1+q) + 1/(1+q)^2 first drops below 0.48 at q = 2,
+    # where the margin is 1 - 1/2 - 4/9 = 1/18: d = log(18 (1 - e^{-2}/9)) + 0.25.  E e^{bB} stops at a 1e-4 relative
+    # step, |dE| <= 2e-4 on 2, which moves the margin by at most 1.25 * 2e-4 and d by at most 18 times that
+    A = Mixture(((0.25, PointMass(1.0)), (0.75, Uniform(0.0, 1.0))))
+    bound = stochastic_upper_bound(JointInput(A, _poly_exp_B()), GammaLike(1.0, -2.0, 1.0), seed=71)
+    assert bound.q == 2.0
+    assert bound.d == pytest.approx(math.log(18.0 - 2.0 * math.exp(-2.0)) + 0.25, abs=5e-3)
 
 
 def test_smoothed_form_tends_to_the_one_term_asymptote():

@@ -641,6 +641,34 @@ def test_sim_numbers_out_of_range_exit_2_before_any_draw(tmp_path, capsys, monke
     assert not out.exists()
 
 
+TAIL_AND_MOMENTS_OUT_OF_RANGE = {
+    "tail-b-word": ("tail", HALF_A + EXP_B + "tail.b = abc\n", "tail.b: expected a number, got 'abc'"),
+    "tail-b-nan": ("tail", HALF_A + EXP_B + "tail.b = nan\n", "tail.b: expected a finite number, got 'nan'"),
+    "tail-b-zero": ("tail", HALF_A + EXP_B + "tail.b = 0\n", "tail.b: must be > 0, got 0.0"),
+    "tail-b-negative": ("tail", HALF_A + EXP_B + "tail.b = -1\n", "tail.b: must be > 0, got -1.0"),
+    "tail-a-zero": ("tail", HALF_A + EXP_B + "tail.a = 0\n", "tail.a: must be > 0, got 0.0"),
+    "threshold-tail-c-word": ("tail", THRESHOLD + "tail.a = 1\ntail.b = 1\ntail.c = abc\n",
+                              "tail.c: expected a number, got 'abc'"),
+    "moments-r-zero": ("moments", HALF_A + EXP_B + "moments.r = 0\n", "moments.r: must be > 0, got 0.0"),
+    "moments-r-negative": ("moments", HALF_A + EXP_B + "moments.r = -0.5\n", "moments.r: must be > 0, got -0.5"),
+}
+
+
+@pytest.mark.parametrize("cmd,text,message", TAIL_AND_MOMENTS_OUT_OF_RANGE.values(),
+                         ids=TAIL_AND_MOMENTS_OUT_OF_RANGE.keys())
+def test_tail_and_moments_numbers_out_of_range_exit_2_before_any_draw(tmp_path, capsys, monkeypatch, cmd, text,
+                                                                       message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing the config")
+
+    monkeypatch.setattr(perpetuity.simulate, "_simulate_chunk", no_draw)
+    monkeypatch.setattr(asymptotics, "_chunk_rng", no_draw)
+    out = tmp_path / "o"
+    assert run(cmd, write(tmp_path, text), out) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["validate", "E1", "--seed", "-3", "--out", str(out)]) == 2
@@ -694,10 +722,9 @@ sim.n_samples = 2000
 
 def test_tail_refuses_a_non_finite_tail_parameter(tmp_path, capsys):
     out = tmp_path / "o"
-    assert run("tail", write(tmp_path, THM1_DIFFERENCE + "tail.a = nan\n"), out) == 5
-    err = capsys.readouterr().err
-    assert "  - smoothed-tail route: tail.a: expected a finite number, got 'nan'\n" in err
-    assert not (out / "prediction.json").exists()
+    assert run("tail", write(tmp_path, THM1_DIFFERENCE + "tail.a = nan\n"), out) == 2
+    assert capsys.readouterr().err == "config error: tail.a: expected a finite number, got 'nan'\n"
+    assert not out.exists()
 
 
 def test_thm1_trace_names_the_unbounded_support_of_B(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -7,10 +8,12 @@ import pytest
 from scipy import special, stats
 
 from perpetuity import simulate
+from perpetuity.asymptotics import stochastic_upper_bound
 from perpetuity.distributions import (
     Beta,
     Exponential,
     Gamma,
+    GammaLike,
     JointInput,
     Mixture,
     NoClosedForm,
@@ -27,7 +30,6 @@ from perpetuity.simulate import (
     SampleBatch,
     SimConfig,
     _chunk_rng,
-    _e_exp_bB_above,
     _simulate_chunk,
     check_convergence,
     empirical_tail,
@@ -397,7 +399,9 @@ def test_csv_values_are_the_bytes_savetxt_writes(tmp_path, values):
     assert path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
-def test_exp_moment_above_q_refuses_past_the_mgf_domain_without_quadrature():
+def _counted_poly_exp():
+    """The poly-exp law (1+x)^{-2} e^{-x}, and the list its survival handle appends to on each call after the
+    constructor's checks."""
     calls = []
 
     def S(x):
@@ -406,8 +410,33 @@ def test_exp_moment_above_q_refuses_past_the_mgf_domain_without_quadrature():
 
     B = SurvivalDefined(S, 0.0, 1.0, "poly-exp")
     calls.clear()  # the constructor checks the handle
+    return B, calls
+
+
+def test_exp_moment_above_q_refuses_past_the_mgf_domain_without_quadrature():
+    B, calls = _counted_poly_exp()
     with pytest.raises(NoClosedForm, match=r"b = 3 is past the MGF domain's end 1$"):
-        _e_exp_bB_above(B, 3.0, 1.0)
+        stochastic_upper_bound(JointInput(Uniform(0.0, 1.0), B), GammaLike(1.0, -2.0, 3.0))
     assert calls == []
-    # at the domain's end it still integrates: 1/(1+q) + 1/(1+q)^2 = 0.75 at q = 1, less the part beyond S's underflow
-    assert _e_exp_bB_above(B, 1.0, 1.0) == pytest.approx(0.75, abs=2e-3)
+
+
+class _NoAtomFact(Uniform):
+    def atom_at(self, v):
+        return None
+
+
+@pytest.mark.parametrize("A,c,message", [
+    (Uniform(0.0, 1.0), -1.0, "tail exponent c = -1.0 must be < -1"),
+    (Uniform(0.0, 1.0), -0.5, "tail exponent c = -0.5 must be < -1"),
+    (_NoAtomFact(0.0, 1.0), -2.0, "P{A=1} not symbolically derivable"),
+], ids=["c-is-minus-one", "c-above-minus-one", "unknown-atom-at-1"])
+def test_stochastic_bound_refuses_its_model_without_a_survival_call(A, c, message):
+    B, calls = _counted_poly_exp()
+    with pytest.raises(NoClosedForm, match=f"^{re.escape(message)}$"):
+        stochastic_upper_bound(JointInput(A, B), GammaLike(1.0, c, 1.0))
+    assert calls == []
+
+
+def test_stochastic_bound_refuses_a_B_without_inverse_survival():
+    with pytest.raises(NoClosedForm, match="needs an invertible survival for B"):
+        stochastic_upper_bound(JointInput(Uniform(0.0, 1.0), Exponential(1.0)), GammaLike(1.0, -2.0, 1.0))
