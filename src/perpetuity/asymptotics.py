@@ -320,9 +320,14 @@ def _mgf_at_tail_rate(B: ScalarDistribution, tail_of_B: GammaLike) -> QuadResult
 
 @dataclass
 class StochasticBound:
+    """The dominating law's (q, d, x0), the integrals d rests on, and d's error propagated from theirs."""
+
     q: float
     d: float
     x0: float
+    e_bB: QuadResult  # E e^{bB}, from `_mgf_at_tail_rate`
+    head: QuadResult  # int_lo^q e^{by} P{B>y} dy at the chosen q
+    d_error: float  # ((1 + P{A=1}) dM + b dhead) / (b (1 - total)), dM and dhead the two error estimates
 
     def sample_Z(self, B: ScalarDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw Z = (B' + d) 1{B' > q} conditioned on Z >= x0, by inverting B's survival."""
@@ -343,9 +348,11 @@ def stochastic_upper_bound(joint: JointInput, tail_of_B: GammaLike, seed: int = 
 
     q is the first of 1, 1.5, 2, ... with E e^{bB}1{A=1} + E e^{bB}1{B>q} < 0.98, and d = log(P{B <= q} / (1 - that
     sum)) / b + 0.25, at least 0.1.  E e^{bB} is `_mgf_at_tail_rate`'s, E e^{bB}1{A=1} is P{A=1} times it, and
-    E e^{bB}1{B>q} is E e^{bB} less the head e^{b lo} - e^{bq} P{B>q} + b int_lo^q e^{by} P{B>y} dy.  x0 is found by
-    grid search on smoothed estimates of P{AY+B>x} vs P{Y>x}.  Refused (NoClosedForm) before any quadrature for a B
-    without `inverse_survival`, b past B's MGF domain, c >= -1 or an unknown P{A=1}, and when an integral fails.
+    E e^{bB}1{B>q} is E e^{bB} less the head e^{b lo} - e^{bq} P{B>q} + b int_lo^q e^{by} P{B>y} dy.  The result
+    keeps both integrals and d's error, their error estimates carried through d's formula to first order.  x0 is
+    found by grid search on smoothed estimates of P{AY+B>x} vs P{Y>x}.  Refused (NoClosedForm) before any
+    quadrature for a B without `inverse_survival`, b past B's MGF domain, c >= -1 or an unknown P{A=1}, and when an
+    integral fails.
     """
     B, b = joint.B, tail_of_B.b
     if not hasattr(B, "inverse_survival"):
@@ -377,6 +384,7 @@ def stochastic_upper_bound(joint: JointInput, tail_of_B: GammaLike, seed: int = 
             raise RuntimeError("no admissible threshold q found")
     s_q = B.survival(q)
     d = max(math.log((1.0 - s_q) / (1.0 - total)) / b + 0.25, 0.1)
+    d_error = ((1.0 + p1) * mgf.abs_error_estimate + b * head.abs_error_estimate) / (b * (1.0 - total))
 
     n_probe = 200_000
     rng = np.random.default_rng(seed)
@@ -399,7 +407,7 @@ def stochastic_upper_bound(joint: JointInput, tail_of_B: GammaLike, seed: int = 
     if bad and bad[-1] >= grid[-2]:
         raise RuntimeError("grid search found no crossover point x0")
     x0 = float(bad[-1] + (grid[1] - grid[0])) if bad else float(grid[0])
-    return StochasticBound(q=q, d=d, x0=x0)
+    return StochasticBound(q=q, d=d, x0=x0, e_bB=mgf, head=head, d_error=d_error)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ same bits either way, the two paths return the same result to the bit.
 A scalar integrand receives Python floats, the same bits as numpy's node
 array, so it must not rely on numpy-scalar inf or nan semantics: 1.0/0.0
 raises ZeroDivisionError and an overflowing `**` raises OverflowError.
+A scalar panel costs its 15 integrand calls plus O(1) float work: the
+Kronrod and Gauss sums are Python floats added in numpy's order, so they
+are numpy's bits.  Where a panel's first value is not a Python float, or
+a sum is not a finite float (complex, numpy-scalar or mpmath values, or
+an overflow), numpy sums the values already in hand, a bisection's two
+panels as one array, so the bits and warnings are numpy's either way.
 `integrate_batch` runs the same rule over a batch of integrals at once,
 one vectorized integrand call per refinement round.
 """
@@ -45,6 +51,7 @@ _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
 _WEIGHTS_KG = np.stack([_WEIGHTS_K, _WEIGHTS_G])
 _NODE_LIST = _NODES.tolist()
+_WK_LIST, _WG_LIST = _WK.tolist(), _WG.tolist()  # Python floats for `_panel`'s sums
 _UNIT_NODES = 1.0 + _NODES  # the nodes on [0, 2], for the unit panels of `integrate_batch`
 _MAX_PANELS = 10_000  # panels of one `integrate_finite` integral; one that needs more comes back converged False
 
@@ -59,27 +66,59 @@ class QuadResult:
     converged: bool | np.ndarray
 
 
-def _panels(f: Callable, edges, vectorized: bool):
-    """Kronrod values and |Kronrod - Gauss| errors, as lists, of f on the panels between consecutive edges."""
-    mid_half = [(float(0.5 * (a + b)), float(0.5 * (b - a))) for a, b in zip(edges[:-1], edges[1:])]
-    if vectorized:
-        mh = np.array(mid_half)
-        fs = np.asarray(f((mh[:, :1] + mh[:, 1:] * _NODES).ravel()))
-    else:
-        # Python-float nodes: the same bits as the array form above, at a fraction of numpy's per-scalar cost
-        fs = np.array([f(m + h * n) for m, h in mid_half for n in _NODE_LIST])
-    # sums along the contiguous node axis: the same bits as np.sum on one panel's 15 values alone
-    kg = np.add.reduce(_WEIGHTS_KG * fs.reshape(len(mid_half), 1, 15), axis=2).tolist()
-    # scaled in Python: h is real, so each part of h times a complex sum is one rounded product, as in numpy;
-    # abs() of a Python complex is hypot, as for a numpy complex scalar, where np.abs on a complex array can differ
-    k = [h * kk for (_, h), (kk, _) in zip(mid_half, kg)]
-    return k, [abs(v - h * gg) for v, (_, h), (_, gg) in zip(k, mid_half, kg)]
+def _sums(fs: np.ndarray, halves: list) -> list:
+    """(Kronrod, Gauss) values of the panels with the given half-widths, from fs's 15 values per panel."""
+    # sums along the contiguous node axis: the same bits as np.sum on one panel's 15 values alone;
+    # scaled in Python: h is real, so each part of h times a complex sum is one rounded product, as in numpy
+    kg = np.add.reduce(_WEIGHTS_KG * fs.reshape(len(halves), 1, 15), axis=2).tolist()
+    return [(h * kk, h * gg) for h, (kk, gg) in zip(halves, kg)]
+
+
+def _panels(f: Callable, edges) -> list:
+    """(Kronrod, Gauss) values of an array integrand f on the panels between consecutive edges, in one call of f."""
+    mh = np.array([(float(0.5 * (a + b)), float(0.5 * (b - a))) for a, b in zip(edges[:-1], edges[1:])])
+    return _sums(np.asarray(f((mh[:, :1] + mh[:, 1:] * _NODES).ravel())), mh[:, 1].tolist())
+
+
+def _panel(f: Callable, a, b) -> tuple:
+    """(values, h, sums) of a scalar f on (a, b): its 15 values, one call of f per node, the half-width, and the
+    panel's (Kronrod, Gauss) values.
+
+    The sums are written out in Python floats, in the order numpy reduces 15 contiguous values (eight
+    pairwise, then one at a time, from its identity 0.0), so they are `_sums`' bits, at O(1) float
+    work.  They are None where numpy must form them: when the first value is not a Python float, or a
+    sum is not a finite one (f gave a complex, numpy-scalar or mpmath value, or the sum overflowed).
+    """
+    m, h = float(0.5 * (a + b)), float(0.5 * (b - a))
+    n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11, n12, n13, n14 = _NODE_LIST
+    y0, y1, y2, y3 = f(m + h * n0), f(m + h * n1), f(m + h * n2), f(m + h * n3)
+    y4, y5, y6, y7 = f(m + h * n4), f(m + h * n5), f(m + h * n6), f(m + h * n7)
+    y8, y9, y10, y11 = f(m + h * n8), f(m + h * n9), f(m + h * n10), f(m + h * n11)
+    y12, y13, y14 = f(m + h * n12), f(m + h * n13), f(m + h * n14)
+    ys = y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14
+    if type(y0) is float:  # else no numpy-scalar arithmetic here
+        # node i and node 14 - i share a weight; the Gauss rule weights the odd nodes, and 0.0 the even ones
+        k0, k1, k2, k3, k4, k5, k6, k7 = _WK_LIST
+        g1, g3, g5, g7 = _WG_LIST
+        kk = 0.0 + ((((k0 * y0 + k1 * y1) + (k2 * y2 + k3 * y3)) + ((k4 * y4 + k5 * y5) + (k6 * y6 + k7 * y7)))
+                    + k6 * y8 + k5 * y9 + k4 * y10 + k3 * y11 + k2 * y12 + k1 * y13 + k0 * y14)
+        gg = 0.0 + ((((0.0 * y0 + g1 * y1) + (0.0 * y2 + g3 * y3)) + ((0.0 * y4 + g5 * y5) + (0.0 * y6 + g7 * y7)))
+                    + 0.0 * y8 + g5 * y9 + 0.0 * y10 + g3 * y11 + 0.0 * y12 + g1 * y13 + 0.0 * y14)
+        # gg is a float when kk is: the same 15 values times Python-float weights
+        if type(kk) is float and math.isfinite(kk) and math.isfinite(gg):
+            return ys, h, (h * kk, h * gg)
+    return ys, h, None
 
 
 def integrate_finite(f: Callable, lo: float, hi: float, tol: float, *, vectorized: bool = False) -> QuadResult:
     """Adaptive integral of f over (lo, hi) to absolute tolerance tol, on at most _MAX_PANELS panels.
 
-    f takes one point, a Python float, and returns a real or complex number.  With
+    f takes one point, a Python float, and returns a real or complex number;
+    a panel then costs f's 15 calls plus O(1) float work.  Where its first
+    value is not a Python float or a sum is not a finite one (complex,
+    numpy-scalar or mpmath values, or an overflow), numpy sums the values
+    already in hand, a bisection's two panels as one array, so the bits and
+    warnings are numpy's either way and f is called once per node.  With
     vectorized=True, f instead takes a 1-d array of points and returns
     the values at them, and each bisection evaluates both new panels' 30
     nodes in one call.  The result is then the same to the bit as the
@@ -89,14 +128,27 @@ def integrate_finite(f: Callable, lo: float, hi: float, tol: float, *, vectorize
     """
     if not lo < hi:
         raise ValueError("integrate_finite requires lo < hi")
-    (val,), (err,) = _panels(f, (lo, hi), vectorized)
+    if vectorized:
+        (val, g), = _panels(f, (lo, hi))
+    else:
+        ys, h, kg = _panel(f, lo, hi)
+        val, g = kg or _sums(np.array(ys), [h])[0]
+    # abs() of a Python complex is hypot, as for a numpy complex scalar, where np.abs on a complex array can differ
+    err = abs(val - g)
     heap = [(-err, lo, hi, val, err)]
     total_err = err
     n = 1
     while total_err > tol and n < _MAX_PANELS:
         _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        (v1, v2), (e1, e2) = _panels(f, (a, m, b), vectorized)
+        if vectorized:
+            (v1, g1), (v2, g2) = _panels(f, (a, m, b))
+        else:
+            ys1, h1, kg1 = _panel(f, a, m)
+            ys2, h2, kg2 = _panel(f, m, b)
+            # where either half needs numpy's sums, both halves' 30 values are one array, as in `_panels`
+            (v1, g1), (v2, g2) = (kg1, kg2) if kg1 and kg2 else _sums(np.array(ys1 + ys2), [h1, h2])
+        e1, e2 = abs(v1 - g1), abs(v2 - g2)
         total_err += e1 + e2 - e
         heapq.heappush(heap, (-e1, a, m, v1, e1))
         heapq.heappush(heap, (-e2, m, b, v2, e2))

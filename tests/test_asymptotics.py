@@ -391,6 +391,18 @@ def test_stochastic_bound_reads_the_tail_moment_off_the_model():
     assert bound.d == pytest.approx(math.log(4.0 - math.exp(-1.0)) + 0.25, abs=1e-3)
 
 
+@pytest.mark.parametrize("atom", [0.0, 0.25], ids=["criterion-10", "atom-at-1"])
+def test_stochastic_bound_states_the_error_of_its_tail_moment(atom):
+    # E e^{bB} stops at a 1e-4 relative step and reads about 6e-5 high on 2; d carries that over the margin 1 - total,
+    # and the stated d_error, from the two integrals' own estimates, covers d's distance from its closed value
+    A = Mixture(((atom, PointMass(1.0)), (1.0 - atom, Uniform(0.0, 1.0)))) if atom else Uniform(0.0, 1.0)
+    bound = stochastic_upper_bound(JointInput(A, _poly_exp_B()), GammaLike(1.0, -2.0, 1.0), seed=71)
+    exact = math.log(18.0 - 2.0 * math.exp(-2.0)) + 0.25 if atom else math.log(4.0 - math.exp(-1.0)) + 0.25
+    assert bound.e_bB.converged and bound.head.converged and bound.e_bB.subdivisions > 0
+    assert abs(bound.e_bB.value - 2.0) <= bound.e_bB.abs_error_estimate
+    assert abs(bound.d - exact) <= bound.d_error <= 10.0 * abs(bound.d - exact)
+
+
 def test_stochastic_bound_counts_the_atom_of_A_at_1():
     # P{A=1} = 1/4 and E e^{B} = 2 add 1/2; E e^{B} 1{B > q} = 1/(1+q) + 1/(1+q)^2 first drops below 0.48 at q = 2,
     # where the margin is 1 - 1/2 - 4/9 = 1/18: d = log(18 (1 - e^{-2}/9)) + 0.25.  E e^{bB} stops at a 1e-4 relative

@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -274,12 +276,20 @@ def test_scalar_scan_stops_at_the_truncation_point(decay_hint, monkeypatch):
 # -- the scalar path's Python-float nodes give the np.float64 nodes' results --
 
 def _reference_panels(f, edges, vectorized):
-    """`_panels` before the scalar path built Python-float nodes, kept verbatim as the reference."""
+    """(Kronrod, Gauss) values as `_panels` formed them before Python-float nodes: numpy nodes, np.add.reduce."""
     mid_half = np.array([(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(edges[:-1], edges[1:])])
     xs = mid_half[:, :1] + mid_half[:, 1:] * quadrature._NODES
     fs = np.asarray(f(xs.ravel()) if vectorized else [f(x) for x in xs.ravel()]).reshape(xs.shape)
     k, g = mid_half[:, 1] * np.add.reduce(quadrature._WEIGHTS_KG * fs[:, None, :], axis=2).T
-    return k.tolist(), [abs(d) for d in (k - g).tolist()]
+    return list(zip(k.tolist(), g.tolist()))
+
+
+def _reference_panel(f, a, b):
+    """`_panel` the reference's way, numpy nodes and np.add.reduce on each panel; its sums are never None."""
+    return (), None, _reference_panels(f, (a, b), False)[0]
+
+
+_REFERENCE = (lambda f, edges: _reference_panels(f, edges, True), _reference_panel)
 
 
 def _bits(res):
@@ -288,8 +298,8 @@ def _bits(res):
             res.subdivisions, res.converged)
 
 
-def _quad_results(panels, run, monkeypatch):
-    """Every QuadResult integrate_finite returns while run() runs on the given _panels, and repr(run())."""
+def _quad_results(kernels, run, monkeypatch):
+    """Every QuadResult integrate_finite returns while run() runs on the given (_panels, _panel), and repr(run())."""
     seen = []
     finite = quadrature.integrate_finite
 
@@ -298,7 +308,8 @@ def _quad_results(panels, run, monkeypatch):
         return seen[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "_panels", panels)
+        m.setattr(quadrature, "_panels", kernels[0])
+        m.setattr(quadrature, "_panel", kernels[1])
         m.setattr(quadrature, "integrate_finite", spy)
         m.setattr(asymptotics, "integrate_finite", spy)
         out = repr(run())
@@ -335,6 +346,13 @@ def _thm2_by_quadrature():
                           left_decay_hint=1.0)
     return [thm2_K(2.0, ExpPlusRemainder(C=1.0, b=1.0)), thm2_K(*thm2_inputs(gamma_part)), hand_written]
 
+
+def _overflowing():
+    """Finite values whose weighted Kronrod sum overflows on the right half of (0, 1): numpy's sums and warning."""
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        return quadrature.integrate_finite(lambda y: 1.7e308 * y, 0.0, 1.0, 1e-10)
+
+
 _SCALAR_CASES = {
     "frullani-50": _frullani_50,
     "exp-1j-x": lambda: quadrature.integrate_finite(lambda x: np.exp(1j * x), 0.0, 1.0, 1e-12),
@@ -346,14 +364,20 @@ _SCALAR_CASES = {
                                 criteria._integrate_phi_rA(Uniform(0.0, 1.0), Uniform(-1.0, 2.0), 1.5)],
     # thm2_K's two integrals take the vectorized path, whose sums share the scalar path's code
     "vectorized-thm2": _thm2_by_quadrature,
+    # a Python int 0 right of the jump: panels of ints alone go to numpy's sums, mixed ones to Python's
+    "int-jump": lambda: quadrature.integrate_finite(lambda y: math.exp(-y) if y < 0.3 else 0, 0.0, 1.0, 1e-10),
+    "numpy-float64": lambda: quadrature.integrate_finite(lambda y: np.exp(-y) * np.sqrt(y), 0.0, 2.0, 1e-12),
+    "python-complex": lambda: quadrature.integrate_finite(lambda y: cmath.exp((3j - 0.5) * y) / (1.0 + y),
+                                                          0.0, 5.0, 1e-12),
+    "overflowing-sum": _overflowing,
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SCALAR_CASES))
 def test_float_nodes_give_the_reference_results_to_the_bit(name, monkeypatch):
     run = _SCALAR_CASES[name]
-    want, want_out = _quad_results(_reference_panels, run, monkeypatch)
-    got, got_out = _quad_results(quadrature._panels, run, monkeypatch)
+    want, want_out = _quad_results(_REFERENCE, run, monkeypatch)
+    got, got_out = _quad_results((quadrature._panels, quadrature._panel), run, monkeypatch)
     assert want
     assert got == want
     assert got_out == want_out
@@ -378,3 +402,67 @@ def test_gamma_mgf_past_the_double_range_is_inf_for_a_python_float():
     # the infinite integrand reaches the quadrature's sums on purpose
     with pytest.warns(RuntimeWarning, match="invalid value"):
         assert criteria._integrate_phi_rA(Uniform(0.0, 1.0), Gamma(40.0, 1.0), 1.0 - 1e-15) is None
+
+
+# -- the scalar kernel: numpy's sums to the bit, numpy's warnings, one call of f per node --
+
+def test_panel_sums_are_numpys_to_the_bit_and_warn_as_numpy_does(monkeypatch):
+    # rows of both signs and magnitudes 1e-30..1e30, where any other order of the additions misses often;
+    # on (-1, 1) the nodes are _NODE_LIST itself and h = 1, so the kernel's (Kronrod, Gauss) are its bare sums
+    rng = np.random.default_rng(31)
+    rows = rng.choice([-1.0, 1.0], size=(10_000, 15)) * 10.0 ** rng.uniform(-30.0, 30.0, size=(10_000, 15))
+    want = np.add.reduce(quadrature._WEIGHTS_KG * rows[:, None, :], axis=-1).tolist()
+    got = [quadrature._panel(dict(zip(quadrature._NODE_LIST, row)).__getitem__, -1.0, 1.0)[2]
+           for row in rows.tolist()]
+    assert [(k.hex(), g.hex()) for k, g in got] == [(k.hex(), g.hex()) for k, g in want]
+
+    def warned(panel):
+        with warnings.catch_warnings(record=True) as caught, monkeypatch.context() as m:
+            warnings.simplefilter("always")
+            m.setattr(quadrature, "_panel", panel)
+            integrate_finite(lambda y: 1.7e308 * y, 0.0, 1.0, 1e-10)
+        return [(w.category, str(w.message)) for w in caught]
+
+    assert warned(_reference_panel) == warned(quadrature._panel) == [(RuntimeWarning, "overflow encountered in reduce")]
+
+
+_CALL_CASES = {
+    "real": (lambda y: abs(y - 0.3337) * math.exp(-y), 0.0, 3.0),
+    "complex": (lambda y: cmath.exp((3j - 0.5) * y), 0.0, 5.0),
+    "non-finite-sum": (lambda y: 1.7e308 * y, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CALL_CASES))
+def test_scalar_path_calls_f_where_the_reference_does(name, monkeypatch):
+    # numpy's sums take the values already in hand: f is called once per node, in the reference's order
+    g, lo, hi = _CALL_CASES[name]
+
+    def points(panel):
+        seen = []
+
+        def f(y):
+            seen.append(float(y).hex())
+            return g(y)
+
+        with warnings.catch_warnings(), monkeypatch.context() as m:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            m.setattr(quadrature, "_panel", panel)
+            integrate_finite(f, lo, hi, 1e-10)
+        return seen
+
+    want = points(_reference_panel)
+    assert len(want) >= 45
+    assert points(quadrature._panel) == want
+
+
+def test_a_scalar_integrand_complex_on_part_of_the_range_gives_the_vectorized_result():
+    # sqrt is imaginary left of 0: where one half of a bisection is complex, numpy sums both halves' 30 values
+    # as one complex array, as the vectorized path does with an array of the same values
+    scalar = lambda y: complex(0.0, math.sqrt(-y)) if y < 0.0 else math.sqrt(y)
+    vec = lambda ys: np.array([scalar(y) for y in ys.tolist()])
+    for tol in (1e-8, 1e-12):
+        want = integrate_finite(vec, -1.0, 2.0, tol, vectorized=True)
+        got = integrate_finite(scalar, -1.0, 2.0, tol)
+        assert got.subdivisions > 1
+        assert got == want
