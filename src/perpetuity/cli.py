@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -256,13 +257,16 @@ def build_sim_config(cfg: dict, seed_override: Optional[int] = None) -> SimConfi
         seed = _in_range("--seed", seed_override, 0)
     else:
         seed = _in_range("sim.seed", _number(cfg, "sim.seed", 0, int), 0)
-    return SimConfig(
+    sim = SimConfig(
         n_samples=_in_range("sim.n_samples", _number(cfg, "sim.n_samples", 100_000, int), 1),
         master_seed=seed,
         truncation_eps=_in_range("sim.truncation_eps", _number(cfg, "sim.truncation_eps", 1e-16), 0),
         max_terms=_in_range("sim.max_terms", _number(cfg, "sim.max_terms", 1_000_000, int), 1, MAX_TERMS_LIMIT),
-        n_streams=_in_range("sim.n_streams", _number(cfg, "sim.n_streams", 1, int), 1),
     )
+    # an absent sim.n_streams keeps SimConfig's default, one stream per core
+    if "sim.n_streams" in cfg:
+        sim = replace(sim, n_streams=_in_range("sim.n_streams", _number(cfg, "sim.n_streams", kind=int), 1))
+    return sim
 
 
 def config_hash(cfg: dict, seed: int) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -939,6 +940,7 @@ class SurvivalDefined(ScalarDistribution):
             raise ValidationError("SurvivalDefined needs a positive decay_rate envelope")
         self._check_handle()
         self._table = None
+        self._table_lock = threading.Lock()  # chunks drawn on several threads build the table once
 
     def _check_handle(self):
         lo = self.support_lo
@@ -957,22 +959,26 @@ class SurvivalDefined(ScalarDistribution):
 
     def _inversion_table(self):
         """(1/dt, x, dx): x[j] = x(j dt) and dx[j] = x[j+1] - x[j], with dx = 0 at the last node."""
-        if self._table is None:
-            n = 65536
-            lo = self.support_lo
-            hi = lo + 1.0 / self.decay_rate
-            while float(self.S(hi)) > 1e-16:
-                hi = lo + 2.0 * (hi - lo)
-            xs = np.linspace(lo, hi, n)
-            sv = np.asarray(self.S(xs), dtype=float)
-            sv = np.minimum.accumulate(np.clip(sv, 1e-300, 1.0))
-            keep = np.concatenate([[True], np.diff(sv) < 0])
-            nls = -np.log(sv[keep])
-            xs = xs[keep]
-            del sv, keep  # free the build's temporaries before the resampling pass
-            x = np.interp(np.linspace(0.0, nls[-1], n), nls, xs)
-            self._table = ((n - 1) / nls[-1], x, np.append(np.diff(x), 0.0))
-        return self._table
+        with self._table_lock:
+            if self._table is None:
+                self._table = self._build_table()
+            return self._table
+
+    def _build_table(self):
+        n = 65536
+        lo = self.support_lo
+        hi = lo + 1.0 / self.decay_rate
+        while float(self.S(hi)) > 1e-16:
+            hi = lo + 2.0 * (hi - lo)
+        xs = np.linspace(lo, hi, n)
+        sv = np.asarray(self.S(xs), dtype=float)
+        sv = np.minimum.accumulate(np.clip(sv, 1e-300, 1.0))
+        keep = np.concatenate([[True], np.diff(sv) < 0])
+        nls = -np.log(sv[keep])
+        xs = xs[keep]
+        del sv, keep  # free the build's temporaries before the resampling pass
+        x = np.interp(np.linspace(0.0, nls[-1], n), nls, xs)
+        return (n - 1) / nls[-1], x, np.append(np.diff(x), 0.0)
 
     def _invert_neglog(self, t: np.ndarray) -> np.ndarray:
         """x with -log S(x) = t for t >= 0; overwrites t."""

@@ -3,13 +3,16 @@
 Batches are a pure function of (config, joint input): the sample index
 space is pre-partitioned into fixed chunks and each chunk owns a
 PCG64DXSM stream seeded from (master_seed, chunk index), so the output is
-bitwise identical for any worker count.
+bitwise identical for any worker count.  By default a batch draws on
+every core: the calling thread and one helper thread per further core
+take chunks until none are left.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -48,7 +51,7 @@ class SimConfig:
     master_seed: int
     truncation_eps: float = 1e-16
     max_terms: int = 1_000_000
-    n_streams: int = 1
+    n_streams: Optional[int] = None  # threads drawing chunks; None: one per core
 
 
 @dataclass
@@ -159,7 +162,13 @@ def _simulate_chunk(joint: JointInput, cfg: SimConfig, chunk_index: int, values,
 
 
 def sample_batch(joint: JointInput, cfg: SimConfig) -> SampleBatch:
-    """cfg.n_samples independent draws, deterministic given master_seed."""
+    """cfg.n_samples independent draws, deterministic given master_seed.
+
+    The chunks are drawn by min(n_streams, chunks, cores) threads, the
+    calling thread and a helper for each further one, each taking the next
+    chunk index from one shared counter.  A chunk fills its own slices from
+    its own stream, so the thread that draws it changes no bit.
+    """
     if not cfg.max_terms <= MAX_TERMS_LIMIT:
         raise ValueError(f"max_terms = {cfg.max_terms!r} does not fit terms_used's int32 (at most {MAX_TERMS_LIMIT})")
     n = int(cfg.n_samples)
@@ -167,19 +176,37 @@ def sample_batch(joint: JointInput, cfg: SimConfig) -> SampleBatch:
     terms = np.empty(n, dtype=np.int32)
     truncated = np.empty(n, dtype=bool)
     bounds = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
+    todo = iter(range(len(bounds)))
+    lock = threading.Lock()
 
-    def run(j):
-        lo, hi = bounds[j]
-        _simulate_chunk(joint, cfg, j, values[lo:hi], terms[lo:hi], truncated[lo:hi])
+    def drain():
+        """Draw chunks until none are left; an error leaves none for the other threads."""
+        try:
+            while True:
+                with lock:
+                    j = next(todo, None)
+                if j is None:
+                    return
+                lo, hi = bounds[j]
+                _simulate_chunk(joint, cfg, j, values[lo:hi], terms[lo:hi], truncated[lo:hi])
+        except BaseException:
+            with lock:
+                for _ in todo:
+                    pass
+            raise
 
     # a thread per chunk or per core at most: each holds its chunk's arrays
-    workers = min(cfg.n_streams, len(bounds), os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    workers = min(cores if cfg.n_streams is None else cfg.n_streams, len(bounds), cores)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(bounds))))
+        # the calling thread draws too: a pool-only form leaves each worker's malloc arena holding freed chunk arrays
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            helpers = [pool.submit(drain) for _ in range(workers - 1)]
+            drain()
+            for h in helpers:
+                h.result()
     else:
-        for j in range(len(bounds)):
-            run(j)
+        drain()
     prov = {"master_seed": cfg.master_seed, "chunk_size": CHUNK, "n_chunks": len(bounds)}
     return SampleBatch(values, terms, truncated, prov)
 

@@ -11,7 +11,7 @@ import pytest
 
 import perpetuity
 import perpetuity.cli as cli_module
-from perpetuity import asymptotics, oracle
+from perpetuity import asymptotics, oracle, simulate
 from perpetuity.cli import (
     ConfigError,
     config_hash,
@@ -20,7 +20,7 @@ from perpetuity.cli import (
     serialize_config,
 )
 from perpetuity.distributions import Beta, JointInput, ScalarDistribution
-from perpetuity.simulate import sample_batch
+from perpetuity.simulate import CHUNK, SimConfig, sample_batch
 
 BASE = """
 # base experiment
@@ -488,14 +488,17 @@ def test_json_reports_are_byte_stable(tmp_path):
     assert (tmp_path / "a" / "verdict.json").read_bytes() == (tmp_path / "b" / "verdict.json").read_bytes()
 
 
-def test_sample_csv_identical_across_stream_counts(tmp_path):
+def test_sample_csv_identical_across_stream_counts(tmp_path, monkeypatch):
+    # three chunks, and four cores, so that a config without sim.n_streams draws on three threads
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    base = BASE.replace("sim.n_samples = 20000", f"sim.n_samples = {2 * CHUNK + 100}")
     blobs = []
-    for streams in (1, 4, 8):
-        path = write(tmp_path, BASE + f"sim.n_streams = {streams}\n", f"cfg{streams}.txt")
+    for streams in (None, 1, 2, 4, 8):
+        path = write(tmp_path, base + ("" if streams is None else f"sim.n_streams = {streams}\n"), f"cfg{streams}.txt")
         out = tmp_path / f"out{streams}"
         assert run("simulate", path, out) == 0
-        blobs.append((out / "samples.csv").read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+        blobs.append(((out / "samples.csv").read_bytes(), (out / "summary.json").read_bytes()))
+    assert all(b == blobs[0] for b in blobs)
 
 
 def test_readme_positional_config_form(tmp_path, capsys):
@@ -613,6 +616,11 @@ def test_refusal_before_any_config_exits_2(tmp_path, capsys, argv, message):
     assert main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
     assert not out.exists()
+
+
+def test_absent_n_streams_keeps_the_sim_default_of_one_stream_per_core():
+    assert cli_module.build_sim_config({}).n_streams is SimConfig(n_samples=1, master_seed=0).n_streams is None
+    assert cli_module.build_sim_config({"sim.n_streams": "3"}).n_streams == 3
 
 
 SIM_OUT_OF_RANGE = {

@@ -1,6 +1,10 @@
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future
 
 import mpmath as mp
 import numpy as np
@@ -155,7 +159,7 @@ def test_compacted_kernel_matches_masked_reference(joint, eps, max_terms):
 
 
 class _SerialExecutor:
-    """Stands in for ThreadPoolExecutor: records max_workers and runs the map on the calling thread."""
+    """Stands in for ThreadPoolExecutor: records max_workers and runs each submitted call on the calling thread."""
 
     built = []
 
@@ -168,14 +172,17 @@ class _SerialExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn):
+        done = Future()
+        done.set_result(fn())
+        return done
 
 
 @pytest.mark.parametrize("streams,cores,want", [
-    (1000, 64, [3]),  # one worker per chunk
-    (1000, 2, [2]),  # one per core
-    (2, 64, [2]),  # as many as asked for
+    # the pool holds the helpers: the calling thread is the first worker
+    (1000, 64, [2]),  # one worker per chunk
+    (1000, 2, [1]),  # one per core
+    (2, 64, [1]),  # as many as asked for
     (1000, None, []),  # an unknown core count runs the chunks on the calling thread
     (4, 1, []),
 ], ids=["chunks", "cores", "streams", "no-core-count", "one-core"])
@@ -192,7 +199,7 @@ def test_thread_pool_is_capped_by_chunks_and_cores(monkeypatch, streams, cores, 
     assert got.terms_used.tobytes() == serial.terms_used.tobytes()
 
 
-@pytest.mark.parametrize("joint,chunk_arrays", [
+_PEAK_CASES = pytest.mark.parametrize("joint,chunk_arrays", [
     # x, pi and idx, and the term's a and b while they are drawn
     (GAMMA_CASE, 5.5),
     # one term's b at a time: it is dropped before the next is drawn
@@ -200,10 +207,10 @@ def test_thread_pool_is_capped_by_chunks_and_cores(monkeypatch, streams, cores, 
     # x, pi, idx and a, and inside the inverse-survival draw its t, bin index and one gathered table
     (JointInput(Uniform(0.0, 1.0), POLY_EXP), 7.5),
 ], ids=["beta-exp", "constant-a", "survival-defined-b"])
-def test_sample_batch_peak_memory(joint, chunk_arrays):
-    # numpy reports its allocations to tracemalloc, so the peak is the same on every run
-    n = 4 * CHUNK
-    cfg = SimConfig(n_samples=n, master_seed=29)
+
+
+def _traced_peak(joint, cfg):
+    """The batch and its tracemalloc peak; numpy reports its allocations to tracemalloc, on every thread."""
     sample_batch(joint, SimConfig(n_samples=10, master_seed=1))  # a SurvivalDefined law builds its table once
     tracemalloc.start()
     try:
@@ -211,6 +218,14 @@ def test_sample_batch_peak_memory(joint, chunk_arrays):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return batch, peak
+
+
+@_PEAK_CASES
+def test_sample_batch_peak_memory(joint, chunk_arrays):
+    # one stream: one chunk's arrays at a time, so the peak is the same on every run
+    n = 4 * CHUNK
+    batch, peak = _traced_peak(joint, SimConfig(n_samples=n, master_seed=29, n_streams=1))
     own = batch.values.nbytes + batch.terms_used.nbytes + batch.truncated.nbytes
     assert peak <= own + chunk_arrays * 8 * CHUNK, f"{(peak - own) / (8 * CHUNK):.2f} chunk arrays"
     assert batch.terms_used.dtype == np.int32
@@ -218,6 +233,99 @@ def test_sample_batch_peak_memory(joint, chunk_arrays):
     recount = batch.terms_used.astype(np.int64)
     assert batch.terms_used.sum() == recount.sum()
     assert batch.truncation_report == {"mean_terms": float(recount.mean()), "n_truncated": int(batch.truncated.sum())}
+
+
+@_PEAK_CASES
+def test_default_streams_peak_memory_is_one_chunk_per_core(monkeypatch, joint, chunk_arrays):
+    # two cores: the calling thread and one helper each hold one chunk's arrays at a time
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    n = 4 * CHUNK
+    batch, peak = _traced_peak(joint, SimConfig(n_samples=n, master_seed=29))
+    own = batch.values.nbytes + batch.terms_used.nbytes + batch.truncated.nbytes
+    assert peak <= own + 2 * chunk_arrays * 8 * CHUNK, f"{(peak - own) / (8 * CHUNK):.2f} chunk arrays"
+    serial = sample_batch(joint, SimConfig(n_samples=n, master_seed=29, n_streams=1))
+    for got, want in zip((batch.values, batch.terms_used, batch.truncated),
+                         (serial.values, serial.terms_used, serial.truncated)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_default_streams_draw_on_the_calling_thread_and_one_helper_per_further_core(monkeypatch):
+    # each chunk waits at the barrier until the other is being drawn: both run at once, one on this thread
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    both = threading.Barrier(2, timeout=30)
+    drawn_on = []
+    chunk = simulate._simulate_chunk
+
+    def recording(joint, cfg, j, *slices):
+        drawn_on.append(threading.current_thread())
+        both.wait()
+        chunk(joint, cfg, j, *slices)
+
+    monkeypatch.setattr(simulate, "_simulate_chunk", recording)
+    n = CHUNK + 100
+    got = sample_batch(GAMMA_CASE, SimConfig(n_samples=n, master_seed=17))
+    assert len(drawn_on) == 2 and len(set(drawn_on)) == 2
+    assert threading.current_thread() in drawn_on
+    monkeypatch.undo()
+    want = sample_batch(GAMMA_CASE, SimConfig(n_samples=n, master_seed=17, n_streams=1))
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_a_chunk_error_reaches_the_caller_and_leaves_no_chunk_to_draw(monkeypatch):
+    # chunk 0 fails while chunk 1 is being drawn on the other thread; that thread then finds no chunk left
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    second_started = threading.Event()
+    drawn = []
+
+    def chunk_zero_fails(joint, cfg, j, *slices):
+        drawn.append(j)
+        if j == 0:
+            assert second_started.wait(timeout=30)
+            raise RuntimeError("chunk 0 failed")
+        second_started.set()
+        time.sleep(0.2)
+
+    monkeypatch.setattr(simulate, "_simulate_chunk", chunk_zero_fails)
+    with pytest.raises(RuntimeError, match="chunk 0 failed"):
+        sample_batch(GAMMA_CASE, SimConfig(n_samples=10 * CHUNK, master_seed=3))
+    assert sorted(drawn) == [0, 1]
+
+
+@pytest.mark.parametrize("cores,chunk,n", [
+    (2, CHUNK, CHUNK + 5_000),  # the calling thread and one helper, one chunk each
+    (8, 256, 40 * 256 + 7),  # more threads than cores, on 41 small chunks
+], ids=["two-chunks", "eight-threads"])
+def test_threads_draw_each_chunk_once_and_build_the_survival_table_once(monkeypatch, cores, chunk, n):
+    # a fresh law's first threaded draw calls S as a serial first draw does; under a short switch
+    # interval, a chunk taken twice or not at all, or a second table build, shows in the record or in the bytes
+    def fresh_law(calls):
+        def S(x):
+            calls.append(1)
+            return POLY_EXP.S(x)
+        return JointInput(Uniform(0.0, 1.0), SurvivalDefined(S, 0.0, 1.0, "counted"))
+
+    monkeypatch.setattr(simulate, "CHUNK", chunk)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
+    serial_calls, threaded_calls, drawn = [], [], []
+    serial = sample_batch(fresh_law(serial_calls), SimConfig(n_samples=n, master_seed=8, n_streams=1))
+    draw_chunk = simulate._simulate_chunk
+
+    def recording(joint, cfg, j, *slices):
+        drawn.append(j)
+        draw_chunk(joint, cfg, j, *slices)
+
+    monkeypatch.setattr(simulate, "_simulate_chunk", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sample_batch(fresh_law(threaded_calls), SimConfig(n_samples=n, master_seed=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(drawn) == list(range(-(-n // chunk)))
+    assert len(threaded_calls) == len(serial_calls)
+    for got, want in zip((threaded.values, threaded.terms_used, threaded.truncated),
+                         (serial.values, serial.terms_used, serial.truncated)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_max_terms_past_int32_is_refused():
