@@ -180,6 +180,26 @@ def tilted_moment_vec(joint: JointInput, b: float, y: np.ndarray) -> Optional[np
     return None if tilted is None else ya * tilted
 
 
+# Draws per block in a pass over a batch: a block's temporaries are 32 KB arrays, whatever the batch size
+DRAW_BLOCK = 4096
+
+
+def _by_blocks(fn, x: np.ndarray):
+    """fn(x) for an elementwise fn and a 1-d x, filled DRAW_BLOCK elements at a time into one array.
+
+    fn's temporaries stay block-sized, and each element's bits are those of a one-point call.
+    None where fn returns None.
+    """
+    first = fn(x[:DRAW_BLOCK])
+    if first is None or x.size <= DRAW_BLOCK:
+        return first
+    out = np.empty(x.shape, np.result_type(first))
+    out[:DRAW_BLOCK] = first
+    for lo in range(DRAW_BLOCK, x.size, DRAW_BLOCK):
+        out[lo:lo + DRAW_BLOCK] = fn(x[lo:lo + DRAW_BLOCK])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # E f(X) / (1 - E e^{bB} 1{A=1})
 # ---------------------------------------------------------------------------
@@ -193,7 +213,9 @@ def thm1_constant(joint: JointInput, tail_of_B: GammaLike, cfg: SimConfig) -> Ta
     as K0 (see `_one_over_x_term`).  Where K1 is not derivable (threshold
     dependence, P{A=1} > 0, an infinite density of A at 1, no closed form)
     `form` stays the one-term asymptote K0 a x^c e^{-bx}, and the trace
-    says why.
+    says why.  The per-draw E_A e^{bAX} and E_A[AX e^{bAX}] are filled
+    DRAW_BLOCK draws at a time into one n-length array each, so past the
+    batch the pass holds two n-length arrays and block-sized temporaries.
     """
     A = joint.A_marginal()
     _, a_hi = A.support()
@@ -227,7 +249,7 @@ def thm1_constant(joint: JointInput, tail_of_B: GammaLike, cfg: SimConfig) -> Ta
         raise PredictionRefused("E log(1 + B^-) < inf not established")
     trace.append("E log(1+B^-) < inf")
     batch = sample_batch(joint, cfg)
-    fx = f_function_vec(joint, b, batch.values)
+    fx = _by_blocks(lambda y: f_function_vec(joint, b, y), batch.values)
     est, se = median_of_means(fx)
     const = est / denom
     trace.append(f"E f(X) by median-of-means over {batch.values.size} draws")
@@ -260,7 +282,7 @@ def _one_over_x_term(joint: JointInput, tail_of_B: GammaLike, p1: float, K0: flo
         return omit("density of A at 1- not derivable")
     if g == math.inf:
         return omit("density of A at 1- is infinite")
-    tilted = tilted_moment_vec(joint, tail_of_B.b, x)
+    tilted = _by_blocks(lambda y: tilted_moment_vec(joint, tail_of_B.b, y), x)
     if tilted is None:
         return omit("E[A y e^{bAy}] has no closed form for A")
     try:

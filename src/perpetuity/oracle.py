@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special._ufuncs import _binom_isf, _binom_ppf
 
 from . import asymptotics
+from .asymptotics import DRAW_BLOCK, _by_blocks
 from .distributions import (
     Beta,
     Difference,
@@ -194,8 +195,8 @@ class ReferenceNotConverged(RuntimeError):
     """An exact reference survival whose quadrature missed its tolerance at some x."""
 
 
-# Trapezoid step in u along the parabola; nodes per x in the first round and at most
-_STEP, _FIRST_NODES, _MAX_NODES = 0.04, 128, 1 << 15
+# Trapezoid step in u along the parabola; nodes per x in the first round and at most; x values inverted at once
+_STEP, _FIRST_NODES, _MAX_NODES, _X_BLOCK = 0.04, 128, 1 << 15, 32
 
 
 def survival_from_transform(law: ClosedTransform, x, tol: float):
@@ -206,7 +207,9 @@ def survival_from_transform(law: ClosedTransform, x, tol: float):
     (Weideman & Trefethen, Math. Comp. 76 (2007)), where the integrand decays like e^{-mu u^2 x} without
     oscillating and a trapezoid sum converges geometrically.  For x < 0 the sum on M(-s) gives P{X < x}.
     The error is the gap to the sum with twice the step on the same nodes, plus the last node's term
-    times the node count; ReferenceNotConverged names the x values where it exceeds tol.
+    times the node count; ReferenceNotConverged names the x values where it exceeds tol.  The x values
+    are inverted _X_BLOCK = 32 at a time, each with its own rounds, so a round's (x by node) complex
+    arrays hold at most 32 rows whatever the grid, and each x's bits are those of a one-point call.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     flip, ax = xa < 0, np.abs(xa)
@@ -214,24 +217,27 @@ def survival_from_transform(law: ClosedTransform, x, tol: float):
     end = np.where(np.isfinite(end), end, min(law.right, law.left))  # no cut on a side: the other end sets the scale
     c, mu = end * (1.0 - 1.0 / (2.0 + ax)), 2.0 * end / (2.0 + ax)
     total, coarse, tail = np.zeros((3, xa.size))
-    live, k0, size = np.arange(xa.size), 0, _FIRST_NODES
-    while live.size and k0 < _MAX_NODES:
-        k = np.arange(k0, k0 + size)
-        u = _STEP * k
-        ml = mu[live, None]
-        s = c[live, None] + ml * (u * u + 1j * u)
-        g = np.exp(-s * ax[live, None]) * law.mgf(np.where(flip[live, None], -s, s)) * (ml * (2.0 * u + 1j)) / s
-        g[:, k == 0] *= 0.5
-        total[live] += g.imag.sum(axis=1)
-        coarse[live] += g.imag[:, k % 2 == 0].sum(axis=1)
-        k0 += size
-        tail[live] = k0 * np.abs(g[:, -1])
-        ref = np.abs(np.where(flip[live], math.pi / _STEP - total[live], total[live]))  # the answer, in sum units
-        live = live[tail[live] > 0.1 * tol * ref]
-        size = min(k0, _MAX_NODES - k0)
+    nodes = 0
+    for start in range(0, xa.size, _X_BLOCK):
+        live, k0, size = np.arange(start, min(start + _X_BLOCK, xa.size)), 0, _FIRST_NODES
+        while live.size and k0 < _MAX_NODES:
+            k = np.arange(k0, k0 + size)
+            u = _STEP * k
+            ml = mu[live, None]
+            s = c[live, None] + ml * (u * u + 1j * u)
+            g = np.exp(-s * ax[live, None]) * law.mgf(np.where(flip[live, None], -s, s)) * (ml * (2.0 * u + 1j)) / s
+            g[:, k == 0] *= 0.5
+            total[live] += g.imag.sum(axis=1)
+            coarse[live] += g.imag[:, k % 2 == 0].sum(axis=1)
+            k0 += size
+            tail[live] = k0 * np.abs(g[:, -1])
+            ref = np.abs(np.where(flip[live], math.pi / _STEP - total[live], total[live]))  # the answer, in sum units
+            live = live[tail[live] > 0.1 * tol * ref]
+            size = min(k0, _MAX_NODES - k0)
+        nodes = max(nodes, k0)
     value = np.where(flip, 1.0 - _STEP * total / math.pi, _STEP * total / math.pi)
     err = _STEP * (np.abs(total - 2.0 * coarse) + tail) / math.pi
-    refuse_unconverged(QuadResult(value, err, k0, err <= tol * value), xa, ReferenceNotConverged, "reference survival")
+    refuse_unconverged(QuadResult(value, err, nodes, err <= tol * value), xa, ReferenceNotConverged, "reference survival")
     return value if np.asarray(x).ndim else float(value[0])
 
 
@@ -248,7 +254,7 @@ def reference_survival(case: ReferenceCase, x, tol: float = 1e-10):
     law = case.exact_X_law
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(law, ScalarDistribution):
-        out = np.asarray(law.survival(xa))
+        out = np.asarray(_by_blocks(law.survival, xa))
     elif isinstance(law, ClosedTransform):
         out = survival_from_transform(law, xa, tol)
     elif isinstance(law, DifferenceOfGammas):
@@ -332,31 +338,39 @@ class OracleReport:
         return "\n".join(lines)
 
 
-def _reference_cdf_at(case: ReferenceCase, sorted_vals: np.ndarray) -> np.ndarray:
+def _ks_distance(case: ReferenceCase, sorted_vals: np.ndarray) -> float:
+    """sup |F_n - F| over the sorted draws, a running maximum over blocks of DRAW_BLOCK draws."""
     law = case.exact_X_law
     if isinstance(law, ScalarDistribution):
-        return 1.0 - np.asarray(reference_survival(case, sorted_vals))
-    # convolution laws: dense grid + monotone interpolation
-    lo = float(sorted_vals[0]) - 0.5
-    hi = float(sorted_vals[-1]) + 0.5
-    grid = np.linspace(lo, hi, 512)
-    sv = np.asarray(reference_survival(case, grid, tol=1e-9))
-    cdf = np.maximum.accumulate(np.clip(1.0 - sv, 0.0, 1.0))
-    return np.interp(sorted_vals, grid, cdf)
+        sv = np.asarray(reference_survival(case, sorted_vals))
+        cdf_of = lambda lo, hi: 1.0 - sv[lo:hi]
+    else:
+        # convolution laws: dense grid + monotone interpolation
+        grid = np.linspace(float(sorted_vals[0]) - 0.5, float(sorted_vals[-1]) + 0.5, 512)
+        sv = np.asarray(reference_survival(case, grid, tol=1e-9))
+        cdf = np.maximum.accumulate(np.clip(1.0 - sv, 0.0, 1.0))
+        cdf_of = lambda lo, hi: np.interp(sorted_vals[lo:hi], grid, cdf)
+    n, ks = sorted_vals.size, 0.0
+    for lo in range(0, n, DRAW_BLOCK):
+        hi = min(lo + DRAW_BLOCK, n)
+        ref_cdf, i = cdf_of(lo, hi), np.arange(lo + 1, hi + 1)
+        ks = np.maximum(ks, np.max(np.maximum(np.abs(i / n - ref_cdf), np.abs((i - 1) / n - ref_cdf))))  # NaN stays
+    return float(ks)
 
 
 def compare_empirical(case: ReferenceCase, cfg: SimConfig) -> OracleReport:
     """Simulate the case; score the KS distance and the exceedance count at five tail anchors.
 
     A row's band is [binom.ppf(a/2), binom.isf(a/2)] of Bin(n, reference) with a = TAIL_ALPHA, so a
-    correct sampler leaves it with probability at most a; every row is checked.
+    correct sampler leaves it with probability at most a; every row is checked.  Past the batch, the
+    pass holds the sorted copy and at most one more n-length array (a tree law's reference survival of
+    the sorted draws, then np.quantile's copy): the survival, the KS distance and E4's inversion run in
+    blocks of DRAW_BLOCK draws or 32 x values.
     """
     batch = sample_batch(case.joint, cfg)
     n = batch.values.size
     sorted_vals = np.sort(batch.values)
-    ref_cdf = _reference_cdf_at(case, sorted_vals)
-    i = np.arange(1, n + 1)
-    ks = float(np.max(np.maximum(np.abs(i / n - ref_cdf), np.abs((i - 1) / n - ref_cdf))))
+    ks = _ks_distance(case, sorted_vals)
     ks_threshold = 4.0 / math.sqrt(n)
 
     anchors = np.quantile(sorted_vals, TAIL_LEVELS)
