@@ -18,6 +18,7 @@ Exit codes: 0 ok, 2 config error, 3 divergence, 4 inconclusive under
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
@@ -56,8 +57,8 @@ from .distributions import (
 from .oracle import ReferenceNotConverged, compare_empirical, get_case
 from .simulate import (
     MAX_TERMS_LIMIT,
-    TAIL_LEVELS,
     SimConfig,
+    _quantiles_of_sorted,
     _tail_of_sorted,
     check_convergence,
     empirical_tail,
@@ -385,7 +386,7 @@ def cmd_tail(cfg: dict, args) -> int:
         # one sort, read for both the default points and the counts above them
         sorted_vals = np.sort(batch.values)
         if xs is None:
-            xs = list(np.quantile(sorted_vals, TAIL_LEVELS))
+            xs = _quantiles_of_sorted(sorted_vals)
         rows = []
         for t in _tail_of_sorted(sorted_vals, xs):
             pred = prediction.form(t.x)
@@ -475,7 +476,29 @@ def _read_config(args) -> dict[str, str]:
     return parse_config_text(text)
 
 
+# glibc's mallopt parameters (malloc.h) and the values `main` gives them.  A term of the sampler frees
+# several 512 KB chunk arrays; under glibc's dynamic thresholds the freed heap is trimmed, and the next
+# term faults those pages back in.  Fixed thresholds keep up to _TRIM_THRESHOLD of freed heap resident.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 1 << 20
+_TRIM_THRESHOLD = 8 << 20
+
+
+def _keep_freed_heap() -> bool:
+    """Fix glibc's mmap and trim thresholds for this process; whether libc took both.
+
+    False, and nothing changed, where libc has no `mallopt` or ctypes cannot load it.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD), mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)])
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](_read_config(args), args)

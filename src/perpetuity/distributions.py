@@ -21,9 +21,20 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .quadrature import expm1_over
+
+
+class _Special:
+    """Stands in for scipy.special until a law first needs it: the import costs about 0.25 s over numpy."""
+
+    def __getattr__(self, name):
+        global special
+        from scipy import special
+        return getattr(special, name)
+
+
+special = _Special()
 
 __all__ = [
     "NoClosedForm",

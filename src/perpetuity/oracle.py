@@ -15,8 +15,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-# the functions scipy.stats.binom.ppf and .isf evaluate; importing scipy.stats costs 0.5 s and 44 MB
-from scipy.special._ufuncs import _binom_isf, _binom_ppf
 
 from . import asymptotics
 from .asymptotics import DRAW_BLOCK, _by_blocks
@@ -34,7 +32,7 @@ from .distributions import (
     ScalarDistribution,
 )
 from .quadrature import QuadResult, integrate_batch, refuse_unconverged
-from .simulate import TAIL_LEVELS, SimConfig, _tail_of_sorted, sample_batch
+from .simulate import SimConfig, _quantiles_of_sorted, _tail_of_sorted, sample_batch
 
 __all__ = [
     "ReferenceCase",
@@ -363,9 +361,9 @@ def compare_empirical(case: ReferenceCase, cfg: SimConfig) -> OracleReport:
 
     A row's band is [binom.ppf(a/2), binom.isf(a/2)] of Bin(n, reference) with a = TAIL_ALPHA, so a
     correct sampler leaves it with probability at most a; every row is checked.  Past the batch, the
-    pass holds the sorted copy and at most one more n-length array (a tree law's reference survival of
-    the sorted draws, then np.quantile's copy): the survival, the KS distance and E4's inversion run in
-    blocks of DRAW_BLOCK draws or 32 x values.
+    pass holds the sorted copy and at most one more n-length array, a tree law's reference survival of
+    the sorted draws: the tail anchors are read off the sorted copy, and the survival, the KS distance
+    and E4's inversion run in blocks of DRAW_BLOCK draws or 32 x values.
     """
     batch = sample_batch(case.joint, cfg)
     n = batch.values.size
@@ -373,8 +371,11 @@ def compare_empirical(case: ReferenceCase, cfg: SimConfig) -> OracleReport:
     ks = _ks_distance(case, sorted_vals)
     ks_threshold = 4.0 / math.sqrt(n)
 
-    anchors = np.quantile(sorted_vals, TAIL_LEVELS)
+    anchors = _quantiles_of_sorted(sorted_vals)
     refs = np.asarray(reference_survival(case, anchors))
+    # the functions scipy.stats.binom.ppf and .isf evaluate; importing scipy.stats costs 0.5 s and 44 MB
+    from scipy.special._ufuncs import _binom_isf, _binom_ppf
+
     lo, hi = _binom_ppf(TAIL_ALPHA / 2, n, refs), _binom_isf(TAIL_ALPHA / 2, n, refs)
     rows = []  # "checked" is always true, as every row is checked; the key stays for readers of the earlier rows
     for t, ref, a, b in zip(_tail_of_sorted(sorted_vals, anchors), refs.tolist(), lo.tolist(), hi.tolist()):

@@ -279,6 +279,27 @@ def _tail_of_sorted(sorted_values: np.ndarray, xs) -> list[TailEstimate]:
     return out
 
 
+def _quantiles_of_sorted(sorted_values: np.ndarray, levels=TAIL_LEVELS) -> np.ndarray:
+    """np.quantile(sorted_values, levels) bit for bit, NaN included, read off draws sorted by np.sort.
+
+    The steps of numpy's default 'linear' method, without the whole partitioned copy np.quantile makes.
+    """
+    n = sorted_values.size
+    virtual = (n - 1) * np.asarray(levels, dtype=float)
+    lo = np.floor(virtual)
+    hi = lo + 1
+    top = virtual >= n - 1  # numpy reads the last value there
+    lo[top], hi[top] = -1, -1
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    a, b, t = sorted_values[lo], sorted_values[hi], virtual - lo
+    diff = b - a
+    out = np.add(a, diff * t)
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    if np.isnan(sorted_values[-1]):  # np.sort puts a NaN last, and numpy then answers it at every level
+        out[:] = sorted_values[-1]
+    return out
+
+
 def median_of_means(values: np.ndarray):
     """Robust mean estimate over 32 blocks; std_err from the block spread."""
     n_blocks = 32

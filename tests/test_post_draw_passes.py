@@ -11,7 +11,7 @@ from perpetuity import asymptotics, oracle
 from perpetuity.asymptotics import DRAW_BLOCK, f_function_vec, thm1_constant, tilted_moment_vec
 from perpetuity.distributions import GammaLike, JointInput, SurvivalDefined, Uniform
 from perpetuity.oracle import compare_empirical, get_case, reference_survival, survival_from_transform
-from perpetuity.simulate import SimConfig
+from perpetuity.simulate import TAIL_LEVELS, SimConfig, _quantiles_of_sorted
 
 
 def _poly_exp_B():
@@ -52,15 +52,16 @@ def _post_draw_peak(monkeypatch, module, call):
 
 @pytest.mark.parametrize("case_id", ["E1", "E4"])
 def test_compare_empirical_peak_memory(monkeypatch, case_id):
-    # the batch's 13 bytes per draw, the sorted copy, and one more n-array: E1's reference survival
-    # of the sorted draws, then np.quantile's partition copy; everything else is block-sized
+    # the batch's 13 bytes per draw, the sorted copy, and for E1 one more n-array, its reference
+    # survival of the sorted draws; the tail anchors are read off the sorted copy, and everything
+    # else is block-sized
     n = 200_000
     case = get_case(case_id)
     compare_empirical(case, SimConfig(n_samples=1_000, master_seed=1, n_streams=1))
     report, peak = _post_draw_peak(monkeypatch, oracle,
                                    lambda: compare_empirical(case, SimConfig(n_samples=n, master_seed=7, n_streams=1)))
     assert report.n == n and report.passed
-    bound = 13 * n + 2 * 8 * n + BLOCK_BYTES
+    bound = 13 * n + (2 if case_id == "E1" else 1) * 8 * n + BLOCK_BYTES
     assert peak <= bound, f"{(peak - 13 * n) / (8 * n):.2f} n-arrays past the batch"
 
 
@@ -142,3 +143,25 @@ def test_thm1_per_draw_arrays_equal_one_point_calls(monkeypatch, n):
     fx, tilted = averaged
     assert _bits(fx) == _bits(_one_point(lambda v: f_function_vec(POLY_EXP_JOINT, b, np.array([v]))[0], x))
     assert _bits(tilted) == _bits(_one_point(lambda v: tilted_moment_vec(POLY_EXP_JOINT, b, np.array([v]))[0], x))
+
+
+# -- tail anchors read off the sorted draws ------------------------------------------
+
+def _quantile_inputs():
+    rng = np.random.default_rng(34)
+    draws = rng.exponential(size=100_000)
+    return {
+        "draws": draws,
+        "ties": rng.integers(0, 7, size=10_001).astype(float),
+        "nan": np.append(rng.normal(size=999), np.nan),
+        "n=1": draws[:1],
+        "n=2": draws[:2],
+        "n=3": draws[:3],
+    }
+
+
+@pytest.mark.parametrize("name", list(_quantile_inputs()))
+def test_quantiles_of_sorted_are_np_quantile(name):
+    x = np.sort(_quantile_inputs()[name])
+    for levels in (TAIL_LEVELS, (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)):
+        assert _bits(_quantiles_of_sorted(x, levels)) == _bits(np.quantile(x, levels))
